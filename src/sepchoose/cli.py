@@ -70,9 +70,17 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _load_graph(path: str):
+def _load_json(path: str, build, *args):
+    """build(json payload, *args); a payload of the wrong shape is a usage error."""
     with open(path) as fh:
-        return graph_from_json_dict(json.load(fh))
+        try:
+            return build(json.load(fh), *args)
+        except (KeyError, TypeError, json.JSONDecodeError) as e:
+            raise SystemExit2(f"malformed JSON in {path}: {e!r}") from None
+
+
+def _load_graph(path: str):
+    return _load_json(path, graph_from_json_dict)
 
 
 def _need(args, names: list[str]) -> list:
@@ -177,8 +185,7 @@ def cmd_color(args) -> int:
     (lpath,) = _need(args, ["lists"])
     (b,) = _need(args, ["b"])
     g = _load_graph(gpath)
-    with open(lpath) as fh:
-        L = assignment_from_json_dict(json.load(fh), g)
+    L = _load_json(lpath, assignment_from_json_dict, g)
     plan = ColoringPlan(strategy=args.strategy)
     try:
         if args.strategy == "greedy":

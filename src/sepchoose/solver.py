@@ -1,20 +1,22 @@
 """Exact decisions: (L,b)-colorability and (a,b,c)-choosability by search.
 
-Choosability is decided by enumerating list assignments up to color
-relabeling (trace multisets) and checking each instance.  Instances on
-annotated cycles and paths run through a bitmask DP over "shadows": after
-choosing phi at position i, later positions only see phi(i) & L(i+1), and
-among achievable shadows only the inclusion-minimal ones matter.  Everything
-else falls back to a memoized backtracking solver that splits the uncolored
-subgraph into components.
+One private search core, _solve_masks, works on color bitmasks: it
+backtracks over vertices, splits the uncolored rest into components, and
+sends path and cycle components to a shadow DP (after choosing phi at
+position i, later positions only see phi(i) & L(i+1), and only the
+inclusion-minimal shadows matter).  Its memo is keyed by (component,
+effective masks): a component's subproblem is fixed by its lists minus the
+colors of its colored neighbours.  Decision mode returns only the verdict;
+it trusts a kernel's "yes" and memoizes successes as well as failures.
+Witness mode, behind color_with_lists, builds the lex-least coloring and
+memoizes failures only.  Frozenset lists appear only at the public edges.
 
-The search-space reduction used by decide_choosable: a color whose trace
-induces a disconnected subgraph can be split into one fresh color per
-component without changing colorability, list sizes, edge intersections, or
-amplitude sums (each coloring maps bijectively across the split).  So the
-choosability scan may restrict itself to connected traces.  The public
-enumerate_canonical keeps full generality (connected_only=False) since its
-contract is "every multiset"; decide_choosable passes connected_only=True.
+Choosability enumerates list assignments up to color relabeling (trace
+multisets).  A color whose trace induces a disconnected subgraph can be
+split into one fresh color per component without changing colorability,
+list sizes, edge intersections, or amplitude sums, so decide_choosable
+scans connected traces only; enumerate_canonical keeps full generality
+(connected_only=False) since its contract is "every multiset".
 """
 
 from __future__ import annotations
@@ -82,11 +84,14 @@ def _advance(states, mask_i: int, next_mask: int, b: int):
         if jmin <= 0:
             return (0,)
         out.update(_ksubsets(inside, jmin))
-    if not out:
-        return ()
-    kept = []
+    # distinct shadows of one size never contain each other, so each one is
+    # checked only against the strictly smaller shadows kept so far
+    kept: list[int] = []
+    smaller, size = (), 0
     for m in sorted(out, key=int.bit_count):
-        if not any(k & m == k for k in kept):
+        if m.bit_count() != size:
+            smaller, size = tuple(kept), m.bit_count()
+        if not any(k & m == k for k in smaller):
             kept.append(m)
     return tuple(kept)
 
@@ -134,31 +139,19 @@ def _cycle_colorable(masks, b: int) -> bool:
     return False
 
 
-def color_with_lists(L: ListAssignment, b: int, budget: int | None = None) -> SolveOutcome:
-    """Decide (L,b)-colorability; the witness is the lexicographically least
-    coloring under vertex order then color order.
+def _solve_masks(adj, masks, b: int, budget: int | None, want_witness: bool):
+    """Can every vertex v take b colors of masks[v], adjacent vertices
+    disjoint?  Returns (colorable, nodes, phimask); phimask maps vertices to
+    their chosen color masks and is None unless want_witness and colorable.
 
-    Backtracks over vertices in index order, always extending the smallest
-    uncolored vertex; when the uncolored set falls apart the components are
-    solved independently (their lex-least pieces assemble the global
-    lex-least witness).  Dead subproblems are memoized by (component,
-    colored boundary).  Components that happen to be paths or cycles get a
-    fast non-constructive colorability check before any witness search.
+    Always extends the smallest uncolored vertex and solves the components
+    of the rest independently, so lex-least pieces assemble the lex-least
+    witness.  A kernel's "no" is final, and in decision mode so is its
+    "yes": sibling components are never adjacent, so nothing reads the
+    colors it leaves unset.
     """
     if b < 1:
         raise ValueError("b must be positive")
-    g = L.graph
-    n = g.n
-    if any(len(lst) < b for lst in L.lists):
-        return SolveOutcome(colorable=False)
-    if L.precolored is not None and len(L.lists[L.precolored]) != b:
-        # phi(r) = L(r) is unsatisfiable at size b
-        return SolveOutcome(colorable=False)
-    adj = g.adj
-    universe = sorted(set().union(*L.lists))
-    cidx = {c: i for i, c in enumerate(universe)}
-    lmask = [sum(1 << cidx[c] for c in lst) for lst in L.lists]
-
     nodes = 0
 
     def bump():
@@ -168,115 +161,112 @@ def color_with_lists(L: ListAssignment, b: int, budget: int | None = None) -> So
             raise BudgetExceeded(nodes)
 
     phimask: dict[int, int] = {}
-    fail_memo: set = set()
+    memo: dict = {}
 
-    def split(verts: frozenset) -> list[frozenset]:
+    def split(verts: tuple) -> list[tuple]:
+        # verts is sorted, so components come out ordered by their minimum
         left = set(verts)
         comps = []
-        while left:
-            seed = min(left)
-            comp = {seed}
-            q = [seed]
-            while q:
-                u = q.pop()
-                for w in adj[u]:
-                    if w in left and w not in comp:
-                        comp.add(w)
-                        q.append(w)
-            left -= comp
-            comps.append(frozenset(comp))
-        comps.sort(key=min)
+        for seed in verts:
+            if seed in left:
+                left.discard(seed)
+                comp = [seed]
+                for u in comp:
+                    for w in adj[u]:
+                        if w in left:
+                            left.discard(w)
+                            comp.append(w)
+                comps.append(tuple(sorted(comp)))
         return comps
 
-    def shape_of(comp_t):
+    def kernel_of(comp_t):
+        # components are connected, so degree <= 2 makes a path or a cycle
         compset = set(comp_t)
-        deg1 = []
-        m = 0
-        for v in comp_t:
-            d = sum(1 for w in adj[v] if w in compset)
-            m += d
-            if d > 2:
-                return None, None
-            if d <= 1:
-                deg1.append(v)
-        m //= 2
-        if not deg1 and m == len(comp_t) and len(comp_t) >= 3:
-            start = comp_t[0]
-        elif m == len(comp_t) - 1:
-            start = min(deg1)
-        else:
-            return None, None
-        order = [start]
-        prev = None
+        nbrs = {v: [w for w in adj[v] if w in compset] for v in comp_t}
+        if any(len(ns) > 2 for ns in nbrs.values()):
+            return None
+        ends = [v for v in comp_t if len(nbrs[v]) < 2]
+        order, prev = [ends[0] if ends else comp_t[0]], None
         while len(order) < len(comp_t):
-            nxt = [w for w in adj[order[-1]] if w in compset and w != prev]
-            if not nxt:
-                return None, None
-            prev = order[-1]
-            order.append(min(nxt))
-        return ("path" if deg1 else "cycle"), order
+            prev, nxt = order[-1], min(w for w in nbrs[order[-1]] if w != prev)
+            order.append(nxt)
+        return (_path_colorable if ends else _cycle_colorable), order
 
-    def solve(comp: frozenset) -> bool:
-        comp_t = tuple(sorted(comp))
-        boundary = []
+    def solve(comp_t: tuple) -> bool:
+        eff = {}
         for v in comp_t:
+            used = 0
             for u in adj[v]:
-                if u not in comp and u in phimask:
-                    boundary.append((u, phimask[u]))
-        key = (comp_t, tuple(sorted(set(boundary))))
-        if key in fail_memo:
-            return False
-        kind, order = shape_of(comp_t)
-        if kind is not None:
+                if u in phimask:
+                    used |= phimask[u]
+            eff[v] = masks[v] & ~used
+        key = (comp_t, tuple(eff.values()))
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        shape = kernel_of(comp_t)
+        if shape is not None:
             bump()
-            eff = []
-            for v in order:
-                used = 0
-                for u in adj[v]:
-                    if u in phimask:
-                        used |= phimask[u]
-                eff.append(lmask[v] & ~used)
-            ok = _path_colorable(eff, b) if kind == "path" else _cycle_colorable(eff, b)
-            if not ok:
-                fail_memo.add(key)
-                return False
+            kernel, order = shape
+            ok = kernel([eff[v] for v in order], b)
+            if not ok or not want_witness:
+                memo[key] = ok
+                return ok
         v = comp_t[0]
-        used = 0
-        for u in adj[v]:
-            if u in phimask:
-                used |= phimask[u]
-        avail = lmask[v] & ~used
+        avail = eff[v]
         bits = [i for i in range(avail.bit_length()) if (avail >> i) & 1]
-        rest = comp - {v}
+        rest = comp_t[1:]
         for cand in itertools.combinations(bits, b):
             bump()
             phimask[v] = sum(1 << i for i in cand)
-            done = True
-            for sub in split(rest) if rest else ():
-                if not solve(sub):
-                    done = False
-                    break
-            if done:
+            if all(solve(sub) for sub in split(rest)):
+                if not want_witness:
+                    memo[key] = True
                 return True
             for u in rest:
                 phimask.pop(u, None)
             del phimask[v]
-        fail_memo.add(key)
+        memo[key] = False
         return False
 
     old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * n + 100))
+    sys.setrecursionlimit(max(old_limit, 4 * len(masks) + 100))
     try:
-        ok = all(solve(comp) for comp in split(frozenset(range(n))))
-    except BudgetExceeded:
-        raise
+        ok = all(solve(comp) for comp in split(tuple(range(len(masks)))))
     finally:
         sys.setrecursionlimit(old_limit)
+    return ok, nodes, (phimask if ok and want_witness else None)
+
+
+def _lists_to_masks(lists) -> tuple[list, list[int]]:
+    """Bit i of a mask stands for the i-th smallest color of the universe."""
+    universe = sorted(set().union(*lists))
+    cidx = {c: i for i, c in enumerate(universe)}
+    return universe, [sum(1 << cidx[c] for c in lst) for lst in lists]
+
+
+def color_with_lists(L: ListAssignment, b: int, budget: int | None = None) -> SolveOutcome:
+    """Decide (L,b)-colorability; the witness is the lexicographically least
+    coloring under vertex order then color order.
+
+    An edge around the search core: the lists become bitmasks over the
+    sorted color universe, the core runs in witness mode, and the chosen
+    masks come back as frozensets of colors.
+    """
+    if b < 1:
+        raise ValueError("b must be positive")
+    if any(len(lst) < b for lst in L.lists):
+        return SolveOutcome(colorable=False)
+    if L.precolored is not None and len(L.lists[L.precolored]) != b:
+        # phi(r) = L(r) is unsatisfiable at size b
+        return SolveOutcome(colorable=False)
+    universe, masks = _lists_to_masks(L.lists)
+    ok, nodes, phimask = _solve_masks(L.graph.adj, masks, b, budget, True)
     if not ok:
         return SolveOutcome(colorable=False, nodes_explored=nodes)
     witness = tuple(
         frozenset(universe[i] for i in range(phimask[v].bit_length()) if (phimask[v] >> i) & 1)
-        for v in range(n)
+        for v in range(len(masks))
     )
     return SolveOutcome(colorable=True, witness=witness, nodes_explored=nodes)
 
@@ -423,21 +413,22 @@ def decide_choosable(
     c: int,
     free: bool = False,
     budget: int | None = None,
-    use_symmetry: bool = True,
     connected_only: bool = True,
 ) -> SolveOutcome:
     """Is every c-separating assignment of a-lists (L,b)-colorable?
 
     free=True additionally quantifies over a precolored vertex (list size b
     there); on annotated cycles and paths one representative per vertex
-    orbit suffices when use_symmetry is set.
+    orbit suffices.  Instances go to the cycle or path kernel, or else to
+    the search core in decision mode; realize runs only for the returned
+    counterexample.  nodes_explored counts instances plus core nodes.
     """
     if not (1 <= b <= a):
         raise ValueError("need 1 <= b <= a")
     if free:
-        if g.cycle_order is not None and use_symmetry:
+        if g.cycle_order is not None:
             roots: list[int | None] = [g.cycle_order[0]]
-        elif g.path_order is not None and use_symmetry:
+        elif g.path_order is not None:
             half = (g.n + 1) // 2
             roots = list(g.path_order[:half])
         else:
@@ -466,16 +457,17 @@ def decide_choosable(
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceeded(nodes)
+            masks = _entries_to_masks(g.n, shared, singles)
             if kernel is not None:
-                masks = _entries_to_masks(g.n, shared, singles)
                 ok = kernel([masks[v] for v in order], b)
             else:
-                cex = realize(_entries_to_multiset(shared, singles), g, a, precolored=r)
-                out = color_with_lists(
-                    cex, b, budget=None if budget is None else budget - nodes
-                )
-                nodes += out.nodes_explored
-                ok = out.colorable
+                try:
+                    ok, inner, _ = _solve_masks(
+                        g.adj, masks, b, None if budget is None else budget - nodes, False
+                    )
+                except BudgetExceeded as e:
+                    raise BudgetExceeded(nodes + e.nodes_explored) from None
+                nodes += inner
             if not ok:
                 cex = realize(_entries_to_multiset(shared, singles), g, a, precolored=r)
                 return SolveOutcome(colorable=False, counterexample=cex, nodes_explored=nodes)

@@ -180,6 +180,11 @@ def test_flower_reproduces_two_square_cactus():
     check(fig)
 
 
+def test_flower_330_petals_verifies():
+    # the largest flower of the criterion-4 grid: one petal per 4-subset of 11
+    assert verify_certificate(gen_flower(3, 11, 4)) == (True, "ok")
+
+
 def test_flower_pentagon():
     cert = gen_flower(5, 3, 2)
     check(cert)

@@ -46,6 +46,13 @@ def test_formula_fsep_cactus(capsys, tmp_path):
     assert out == "5 (regime: girth)\n"
 
 
+def test_formula_fsep_cactus_malformed_graph(capsys, tmp_path):
+    gpath = write_json(tmp_path / "bad.json", {"n": 3})
+    rc, _, err = run(capsys, "formula", "fsep-cactus", "--graph", gpath, "--a", "2", "--b", "1")
+    assert rc == 2
+    assert err.startswith("error: malformed JSON")
+
+
 def test_formula_missing_flag(capsys):
     rc, _, err = run(capsys, "formula", "sep-cycle", "--n", "5", "--a", "9")
     assert rc == 2
@@ -84,6 +91,15 @@ def test_solve_sep(capsys, tmp_path):
     rc, out, _ = run(capsys, "solve", "sep", "--graph", gpath, "--a", "2", "--b", "1")
     assert rc == 0
     assert out == "2\n"
+
+
+def test_solve_malformed_graph(capsys, tmp_path):
+    # exit 1 is a determined negative; a graph without "edges" is a usage error
+    gpath = write_json(tmp_path / "bad.json", {"n": 3})
+    rc, _, err = run(capsys, "solve", "sep", "--graph", gpath, "--a", "2", "--b", "1")
+    assert rc == 2
+    assert err.startswith("error: malformed JSON")
+    assert "Traceback" not in err
 
 
 def test_solve_budget_exhaustion(capsys, tmp_path):
@@ -229,6 +245,17 @@ def test_color_greedy(capsys, tmp_path):
     assert payload["coloring"] == [[0], [3], [0], [3]]
     assert payload["plan"]["strategy"] == "greedy"
     assert len(payload["plan"]["steps"]) == 4
+
+
+def test_color_malformed_inputs(capsys, tmp_path):
+    good = write_json(tmp_path / "c4.json", build_cycle(4).to_json_dict())
+    bad_graph = write_json(tmp_path / "bad.json", {"n": 4, "edges": 5})
+    lists = write_json(tmp_path / "lists.json", {"lists": [[0, 1], [1, 2], [0, 1], [1, 2]]})
+    bad_lists = write_json(tmp_path / "badlists.json", {"colors": []})
+    for gpath, lpath in [(bad_graph, lists), (good, bad_lists)]:
+        rc, _, err = run(capsys, "color", "greedy", "--graph", gpath, "--lists", lpath, "--b", "1")
+        assert rc == 2
+        assert err.startswith("error: malformed JSON")
 
 
 def test_color_failure_is_exit_one(capsys, tmp_path):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from sepchoose import (
     BudgetExceeded,
@@ -18,9 +20,12 @@ from sepchoose import (
     realize,
     separation,
 )
+from sepchoose.solver import _lists_to_masks, _solve_masks
 from helpers import brute_force_colorable, random_cycle_lists
 
 F = frozenset
+
+K4E = Graph(n=4, edges=F({(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}))
 
 
 # --- canonical enumeration -------------------------------------------------
@@ -120,6 +125,52 @@ def test_solver_agrees_with_brute_force():
             assert is_valid_coloring(L, got.witness, b)
 
 
+def _graph(n, pairs):
+    return Graph(n=n, edges=F((min(u, v), max(u, v)) for u, v in pairs))
+
+
+# no path or cycle annotation: the core sees them only as adjacency
+UNANNOTATED = [
+    K4E,
+    _graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)]),  # C3.C3
+    _graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (4, 5), (0, 5)]),  # C3.C4
+    _graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)]),  # triangle with pendants
+]
+
+
+@st.composite
+def list_instances(draw):
+    if draw(st.booleans()):
+        g = draw(st.sampled_from(UNANNOTATED))
+    else:
+        n = draw(st.integers(1, 6))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = _graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    a = draw(st.integers(1, 4))
+    b = draw(st.integers(1, min(a, 2)))
+    pinned = draw(st.none() | st.integers(0, g.n - 1))
+    pool = st.integers(0, a + 3)
+    lists = tuple(
+        F(draw(st.lists(pool, min_size=b if v == pinned else a,
+                        max_size=b if v == pinned else a, unique=True)))
+        for v in range(g.n)
+    )
+    return ListAssignment(graph=g, lists=lists, a=a, precolored=pinned), b
+
+
+@seed(20200901)
+@settings(max_examples=400, deadline=None, database=None)
+@given(list_instances())
+def test_core_modes_agree_with_brute_force(inst):
+    L, b = inst
+    decided, _, phimask = _solve_masks(L.graph.adj, _lists_to_masks(L.lists)[1], b, None, False)
+    assert phimask is None
+    out = color_with_lists(L, b)
+    assert decided == out.colorable == brute_force_colorable(L, b)
+    if out.colorable:
+        assert is_valid_coloring(L, out.witness, b)
+
+
 def test_free_requires_pinned_vertex():
     g = build_cycle(3)
     L = ListAssignment(graph=g, lists=(F({1, 2}), F({2, 3}), F({3, 4})), a=2)
@@ -132,6 +183,29 @@ def test_budget_exhaustion_raises():
     with pytest.raises(BudgetExceeded) as ei:
         decide_choosable(g, 4, 2, 2, budget=10)
     assert ei.value.nodes_explored > 10
+
+
+def test_nested_budget_counts_outer_and_inner_nodes():
+    # K4-e has no annotation, so every instance runs the core; the reported
+    # count is instances plus core nodes and always exceeds the budget
+    for budget in (50, 500):
+        with pytest.raises(BudgetExceeded) as ei:
+            decide_choosable(K4E, 4, 2, 2, budget=budget)
+        assert ei.value.nodes_explored > budget
+    full = decide_choosable(K4E, 4, 2, 2)
+    assert full.colorable
+    assert decide_choosable(K4E, 4, 2, 2, budget=full.nodes_explored).colorable
+    with pytest.raises(BudgetExceeded) as ei:
+        decide_choosable(K4E, 4, 2, 2, budget=full.nodes_explored - 1)
+    assert ei.value.nodes_explored == full.nodes_explored
+
+
+def test_compute_sep_budget_sums_across_c():
+    spent = sum(decide_choosable(K4E, 4, 2, c).nodes_explored for c in (4, 3))
+    for budget in (50, 500, spent + 100):
+        with pytest.raises(BudgetExceeded) as ei:
+            compute_sep(K4E, 4, 2, budget=budget)
+        assert ei.value.nodes_explored > budget
 
 
 def test_decide_counterexample_reverifies():
