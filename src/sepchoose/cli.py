@@ -8,8 +8,7 @@ Exit codes: 0 for an affirmative outcome, 1 for a determined negative one
 (not choosable, verification failed, sweep mismatch), 2 for usage errors,
 out-of-regime parameters, or budget exhaustion.  The node budget defaults
 to 10^7, can be set via SEPCHOOSE_BUDGET, and --budget wins over both;
-zero or negative means unlimited.  --seed is accepted for forward
-compatibility; no current subcommand draws randomness.
+zero or negative means unlimited.
 """
 
 from __future__ import annotations
@@ -275,8 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
                         help="node budget; <= 0 for unlimited")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="reserved for randomized subcommands")
     common.add_argument("--out", type=str, default=argparse.SUPPRESS,
                         help="write the payload to this file")
     p = argparse.ArgumentParser(prog="sepchoose", description=__doc__.splitlines()[0],
@@ -334,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    for name in ("budget", "seed", "out"):
+    for name in ("budget", "out"):
         if not hasattr(args, name):
             setattr(args, name, None)
     try:

@@ -91,9 +91,6 @@ class Graph:
         if any(c > 2 for c in use.values()):
             raise ValueError("an edge lies on more than two faces")
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
     def to_json_dict(self) -> dict:
         d = {"n": self.n, "edges": sorted(map(list, self.edges))}
         if self.faces is not None:

@@ -16,7 +16,10 @@ annotated order), sigma(i, j) sums, over every color, the independence
 number of the subgraph induced by the listing vertices inside the span.  A
 coloring packs b slots per vertex into those independent sets, so
 sigma(i, j) >= b * (j - i + 1) on every span is necessary; on paths and
-complete graphs it is also sufficient.
+complete graphs it is also sufficient.  On a path, amplitude_violation
+finds the first failing span with one sweep per start vertex: sigma(i, j)
+follows from sigma(i, j-1) and the runs of L(x_j)'s colors that end at x_j,
+so the check costs O(n^2 a), not a recount of every span.
 """
 
 from __future__ import annotations
@@ -190,7 +193,6 @@ def amplitude_sigma(L: ListAssignment, i: int, j: int) -> int:
         for v in span:
             cols |= L.lists[v]
         return len(cols)
-    pos_of = {v: k for k, v in enumerate(span)}
     occ: dict[int, list[int]] = {}
     for k, v in enumerate(span):
         for c in L.lists[v]:
@@ -210,11 +212,30 @@ def amplitude_violation(L: ListAssignment, b: int):
     """
     g = L.graph
     if g.path_order is not None:
+        # One sweep per start x_i.  Extending the span to x_j grows the run
+        # of each color c of L(x_j) inside the span to min(run_j(c), span),
+        # where run_j(c) counts the consecutive vertices listing c that end
+        # at x_j; that adds 1 to the run's ceil(run / 2) exactly when the
+        # new length is odd.  Spans at least as long as x_j's longest run
+        # all add the number of odd runs.
+        runs, prev = [], {}
+        for v in g.path_order:
+            cur = {c: prev.get(c, 0) + 1 for c in L.lists[v]}
+            lens = tuple(cur.values())
+            runs.append((max(lens), sum(r & 1 for r in lens), lens))
+            prev = cur
         n = g.n
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                if amplitude_sigma(L, i, j) < b * (j - i + 1):
-                    return (i, j)
+        for i in range(n):
+            sigma = 0
+            for j in range(i, n):
+                span = j - i + 1
+                longest, odd, lens = runs[j]
+                if span >= longest:
+                    sigma += odd
+                else:
+                    sigma += sum((r if r < span else span) & 1 for r in lens)
+                if sigma < b * span:
+                    return (i + 1, j + 1)
         return None
     if _is_complete(g):
         for r in range(1, g.n + 1):

@@ -9,7 +9,14 @@ effective masks): a component's subproblem is fixed by its lists minus the
 colors of its colored neighbours.  Decision mode returns only the verdict;
 it trusts a kernel's "yes" and memoizes successes as well as failures.
 Witness mode, behind color_with_lists, builds the lex-least coloring and
-memoizes failures only.  Frozenset lists appear only at the public edges.
+memoizes failures only.  It colors a path component without backtracking:
+one DP sweep from each end gives, at every position, the minimal shadows
+that the rest of the path needs, and each vertex, smallest first, takes
+the first b-subset that misses one from each side (_path_witness; one
+backward sweep and one forward pass when vertex numbers rise along the
+path).  A cycle component fixes its smallest vertex per candidate and
+colors the path that is left (_cycle_witness).  Frozenset lists appear
+only at the public edges.
 
 Choosability enumerates list assignments up to color relabeling (trace
 multisets).  A color whose trace induces a disconnected subgraph can be
@@ -56,12 +63,15 @@ class SolveOutcome:
     nodes_explored: int = 0
 
 
+def _subsets(mask: int, k: int):
+    """The k-subsets of mask, lazily, in combinations order of its bits."""
+    bits = [1 << i for i in range(mask.bit_length()) if (mask >> i) & 1]
+    return map(sum, itertools.combinations(bits, k))
+
+
 @lru_cache(maxsize=1 << 18)
 def _ksubsets(mask: int, k: int) -> tuple[int, ...]:
-    bits = [1 << i for i in range(mask.bit_length()) if (mask >> i) & 1]
-    if k > len(bits):
-        return ()
-    return tuple(sum(c) for c in itertools.combinations(bits, k))
+    return tuple(_subsets(mask, k))
 
 
 def _advance(states, mask_i: int, next_mask: int, b: int):
@@ -139,6 +149,102 @@ def _cycle_colorable(masks, b: int) -> bool:
     return False
 
 
+def _path_witness(masks, ranks, b: int, bump):
+    """Lex-least coloring of a path, or None when it has none.
+
+    Positions are colored in increasing rank, each with the first b-subset
+    in _subsets order that leaves the rest colorable: a candidate at p is
+    feasible iff it misses some minimal shadow forward from the left end of
+    p's uncolored interval and some minimal shadow backward from its right
+    end.  Those antichains are cached per position with the end they were
+    swept from.  Interval ends only move inward, so an entry whose end is
+    still its interval's end is still exact; coloring p moves only the left
+    end of the interval to its right and the right end of the interval to
+    its left, so only those sides are swept again.  When ranks rise along
+    the path, the whole walk is one backward sweep plus one forward pass; a
+    numbering that keeps jumping between the ends of an interval can still
+    cost a sweep per vertex.
+    """
+    m = len(masks)
+    phi = [0] * m
+    fwd, fend = [()] * m, [-1] * m
+    bwd, bend = [()] * m, [-1] * m
+
+    def live(q):
+        # the list minus the colors of colored neighbours
+        mk = masks[q]
+        if q > 0:
+            mk &= ~phi[q - 1]
+        if q + 1 < m:
+            mk &= ~phi[q + 1]
+        return mk
+
+    def shadows(states, end, ends, p, step):
+        # antichain at p swept from `end`, resuming at the nearest cached one
+        q = p
+        while q != end and ends[q] != end:
+            q -= step
+        if ends[q] != end:
+            states[q], ends[q] = (0,), end
+        while q != p:
+            states[q + step] = _advance(states[q], live(q), masks[q + step], b)
+            ends[q + step] = end
+            q += step
+        return states[p]
+
+    # Cartesian tree on ranks: each position's interval is colored after
+    # its ends, which are its ancestors
+    left, right, stack = [-1] * m, [-1] * m, []
+    for i in range(m):
+        last = -1
+        while stack and ranks[stack[-1]] > ranks[i]:
+            last = stack.pop()
+        left[i] = last
+        if stack:
+            right[stack[-1]] = i
+        stack.append(i)
+    todo = [(stack[0], 0, m - 1)]
+    while todo:
+        p, lo, hi = todo.pop()
+        bump()
+        before = shadows(fwd, lo, fend, p, 1)
+        after = shadows(bwd, hi, bend, p, -1)
+        # uncached: the walk mostly stops at the first candidate, and its
+        # masks are too varied to be worth keeping
+        for cand in _subsets(live(p), b):
+            if any(not s & cand for s in before) and any(not s & cand for s in after):
+                phi[p] = cand
+                break
+        else:
+            return None
+        if left[p] >= 0:
+            todo.append((left[p], lo, p - 1))
+        if right[p] >= 0:
+            todo.append((right[p], p + 1, hi))
+    return phi
+
+
+def _cycle_witness(masks, ranks, b: int, bump):
+    """Lex-least coloring of a cycle whose position 0 has the smallest rank,
+    or None: each candidate at position 0, in _subsets order, leaves a path
+    whose ends avoid it, and the first colorable one is kept."""
+    rest = masks[1:]
+    first, last = rest[0], rest[-1]
+    failed = set()
+    for cand in _subsets(masks[0], b):
+        bump()
+        # the rest sees the candidate only through its two ends
+        pair = (cand & first, cand & last)
+        if pair in failed:
+            continue
+        rest[0], rest[-1] = first & ~cand, last & ~cand
+        chosen = _path_witness(rest, ranks[1:], b, bump)
+        if chosen is not None:
+            return [cand] + chosen
+        failed.add(pair)
+    return None
+
+
 def _solve_masks(adj, masks, b: int, budget: int | None, want_witness: bool):
     """Can every vertex v take b colors of masks[v], adjacent vertices
     disjoint?  Returns (colorable, nodes, phimask); phimask maps vertices to
@@ -146,9 +252,10 @@ def _solve_masks(adj, masks, b: int, budget: int | None, want_witness: bool):
 
     Always extends the smallest uncolored vertex and solves the components
     of the rest independently, so lex-least pieces assemble the lex-least
-    witness.  A kernel's "no" is final, and in decision mode so is its
-    "yes": sibling components are never adjacent, so nothing reads the
-    colors it leaves unset.
+    witness; path and cycle components get theirs from the witness walks,
+    which make the same choices.  A kernel's "no" is final, and in decision
+    mode so is its "yes": sibling components are never adjacent, so nothing
+    reads the colors it leaves unset.
     """
     if b < 1:
         raise ValueError("b must be positive")
@@ -179,8 +286,9 @@ def _solve_masks(adj, masks, b: int, budget: int | None, want_witness: bool):
                 comps.append(tuple(sorted(comp)))
         return comps
 
-    def kernel_of(comp_t):
-        # components are connected, so degree <= 2 makes a path or a cycle
+    def shape_of(comp_t):
+        # components are connected, so degree <= 2 makes a path or a cycle;
+        # returns (cyclic, order), and a cycle's order starts at its minimum
         compset = set(comp_t)
         nbrs = {v: [w for w in adj[v] if w in compset] for v in comp_t}
         if any(len(ns) > 2 for ns in nbrs.values()):
@@ -190,7 +298,7 @@ def _solve_masks(adj, masks, b: int, budget: int | None, want_witness: bool):
         while len(order) < len(comp_t):
             prev, nxt = order[-1], min(w for w in nbrs[order[-1]] if w != prev)
             order.append(nxt)
-        return (_path_colorable if ends else _cycle_colorable), order
+        return not ends, order
 
     def solve(comp_t: tuple) -> bool:
         eff = {}
@@ -204,14 +312,20 @@ def _solve_masks(adj, masks, b: int, budget: int | None, want_witness: bool):
         hit = memo.get(key)
         if hit is not None:
             return hit
-        shape = kernel_of(comp_t)
+        shape = shape_of(comp_t)
         if shape is not None:
             bump()
-            kernel, order = shape
-            ok = kernel([eff[v] for v in order], b)
-            if not ok or not want_witness:
-                memo[key] = ok
+            cyclic, order = shape
+            line = [eff[v] for v in order]
+            if not want_witness:
+                ok = memo[key] = (_cycle_colorable if cyclic else _path_colorable)(line, b)
                 return ok
+            chosen = (_cycle_witness if cyclic else _path_witness)(line, order, b, bump)
+            if chosen is None:
+                memo[key] = False
+                return False
+            phimask.update(zip(order, chosen))
+            return True
         v = comp_t[0]
         avail = eff[v]
         bits = [i for i in range(avail.bit_length()) if (avail >> i) & 1]

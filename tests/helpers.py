@@ -90,8 +90,10 @@ def snake(rng, faces_n, flen):
     return Graph(n=n, edges=frozenset(edges), faces=tuple(faces))
 
 
-def brute_force_colorable(L: ListAssignment, b: int) -> bool:
-    """Reference decision by plain product enumeration, no pruning."""
+def brute_force_witness(L: ListAssignment, b: int):
+    """Reference lex-least coloring: the first hit of plain product
+    enumeration (vertex order, then color order), no pruning; None when
+    there is none."""
     import itertools
 
     g = L.graph
@@ -100,13 +102,18 @@ def brute_force_colorable(L: ListAssignment, b: int) -> bool:
         pool = sorted(L.lists[v])
         if v == L.precolored:
             if len(pool) != b:
-                return False
+                return None
             choices.append([frozenset(pool)])
         else:
             if len(pool) < b:
-                return False
+                return None
             choices.append([frozenset(s) for s in itertools.combinations(pool, b)])
     for phi in itertools.product(*choices):
         if all(not (phi[u] & phi[v]) for u, v in g.edges):
-            return True
-    return False
+            return phi
+    return None
+
+
+def brute_force_colorable(L: ListAssignment, b: int) -> bool:
+    """Reference decision by the same enumeration."""
+    return brute_force_witness(L, b) is not None

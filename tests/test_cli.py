@@ -290,6 +290,14 @@ def test_unknown_subcommand_exits_two(capsys):
     capsys.readouterr()
 
 
+def test_seed_flag_is_rejected(capsys):
+    # no subcommand draws randomness, so the parser offers no --seed
+    rc, _, err = run(capsys, "formula", "min-c3", "--seed", "3")
+    assert rc == 2
+    assert "unrecognized arguments: --seed 3" in err
+    assert run(capsys, "--seed", "3", "formula", "min-c3")[0] == 2
+
+
 def test_missing_graph_file(capsys):
     rc, _, err = run(capsys, "solve", "sep", "--graph", "/nonexistent.json", "--a", "2", "--b", "1")
     assert rc == 2

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from sepchoose import (
     Graph,
@@ -107,6 +109,54 @@ def test_amplitude_violation_reports_span():
     g = build_path(3)
     L = ListAssignment(graph=g, lists=(F({1}), F({1, 2}), F({2})), a=2)
     assert amplitude_violation(L, 1) == (1, 3)
+
+
+@st.composite
+def path_assignments(draw):
+    """Lists on a path whose vertex numbers are shuffled along path_order,
+    with short end lists and an optional precolored vertex.  The first
+    `private` vertices along the path take full lists of colors of their
+    own, which pads the spans that start there, so that violations also
+    start later."""
+    n = draw(st.integers(1, 9))
+    order = draw(st.permutations(range(n)))
+    g = Graph(n=n, edges=F((min(u, v), max(u, v)) for u, v in zip(order, order[1:])),
+              path_order=tuple(order))
+    a = draw(st.integers(1, 4))
+    b = draw(st.integers(1, a))
+    pinned = draw(st.none() | st.integers(0, n - 1))
+    private = draw(st.integers(0, n - 1))
+    ends = {order[0], order[-1]} if n >= 2 else set()
+    lists = [None] * n
+    for pos, v in enumerate(order):
+        if v == pinned:
+            lo, hi = b, b
+        elif pos < private:
+            lo, hi = a, a
+        else:
+            lo, hi = (1 if v in ends else a), a
+        base = 10 * (pos + 1) if pos < private else 0
+        colors = st.integers(base, base + a + 2)
+        lists[v] = F(draw(st.lists(colors, min_size=lo, max_size=hi, unique=True)))
+    return ListAssignment(graph=g, lists=tuple(lists), a=a, precolored=pinned), b
+
+
+def first_violation_by_sigma(L, b):
+    """Reference: every span in row-major order, each sigma recomputed."""
+    n = L.graph.n
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            if amplitude_sigma(L, i, j) < b * (j - i + 1):
+                return (i, j)
+    return None
+
+
+@seed(20200902)
+@settings(max_examples=400, deadline=None, database=None)
+@given(path_assignments())
+def test_path_amplitude_violation_matches_span_reference(inst):
+    L, b = inst
+    assert amplitude_violation(L, b) == first_violation_by_sigma(L, b)
 
 
 def test_amplitude_on_triangle_counts_colors():

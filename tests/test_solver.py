@@ -21,7 +21,7 @@ from sepchoose import (
     separation,
 )
 from sepchoose.solver import _lists_to_masks, _solve_masks
-from helpers import brute_force_colorable, random_cycle_lists
+from helpers import brute_force_colorable, brute_force_witness, random_cycle_lists
 
 F = frozenset
 
@@ -158,17 +158,56 @@ def list_instances(draw):
     return ListAssignment(graph=g, lists=lists, a=a, precolored=pinned), b
 
 
+@st.composite
+def linear_instances(draw):
+    """Paths and cycles with vertex numbers shuffled along the order, so the
+    smallest vertex often sits inside the path; path ends may carry short
+    lists.  a <= 3 keeps the brute-force product small at n = 8."""
+    cyclic = draw(st.booleans())
+    n = draw(st.integers(3 if cyclic else 1, 8))
+    order = tuple(draw(st.permutations(range(n))))
+    walk = list(zip(order, order[1:])) + ([(order[-1], order[0])] if cyclic else [])
+    g = Graph(n=n, edges=F((min(u, v), max(u, v)) for u, v in walk),
+              cycle_order=order if cyclic else None, path_order=None if cyclic else order)
+    a = draw(st.integers(1, 3))
+    b = draw(st.integers(1, min(a, 2)))
+    pinned = draw(st.none() | st.integers(0, n - 1))
+    ends = {order[0], order[-1]} if not cyclic and n >= 2 else set()
+    pool = st.integers(0, a + draw(st.integers(0, 2)))
+    lists = []
+    for v in range(n):
+        lo, hi = (b, b) if v == pinned else (1 if v in ends else a, a)
+        lists.append(F(draw(st.lists(pool, min_size=lo, max_size=hi, unique=True))))
+    return ListAssignment(graph=g, lists=tuple(lists), a=a, precolored=pinned), b
+
+
 @seed(20200901)
-@settings(max_examples=400, deadline=None, database=None)
-@given(list_instances())
+@settings(max_examples=600, deadline=None, database=None)
+@given(list_instances() | linear_instances())
 def test_core_modes_agree_with_brute_force(inst):
     L, b = inst
     decided, _, phimask = _solve_masks(L.graph.adj, _lists_to_masks(L.lists)[1], b, None, False)
     assert phimask is None
     out = color_with_lists(L, b)
     assert decided == out.colorable == brute_force_colorable(L, b)
+    # the witness is the lex-least coloring, found without the solver
+    assert out.witness == brute_force_witness(L, b)
     if out.colorable:
         assert is_valid_coloring(L, out.witness, b)
+
+
+def test_easy_long_path_witness():
+    # P_4000 walks the path witness once, with no recursion per vertex; on
+    # these lists the lex-least coloring is the left-to-right greedy one
+    n = 4000
+    L = ListAssignment(graph=build_path(n), lists=tuple(F({i % 3, (i + 1) % 3}) for i in range(n)), a=2)
+    out = color_with_lists(L, 1)
+    assert out.colorable and is_valid_coloring(L, out.witness, 1)
+    greedy, prev = [], F()
+    for lst in L.lists:
+        prev = F({min(lst - prev)})
+        greedy.append(prev)
+    assert out.witness == tuple(greedy)
 
 
 def test_free_requires_pinned_vertex():
