@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .formulas import c_threshold, fsep_cycle
 from .graphs import Graph, build_cycle, build_flower, build_path, graph_from_json_dict, identify_vertices
 from .lists import ColorSet, ListAssignment, assignment_unchecked, separation
-from .solver import _lists_to_masks, _solve_masks
+from .solver import _annotated_shape, _lists_to_masks, _solve_masks
 
 __all__ = [
     "Certificate",
@@ -387,7 +387,9 @@ def verify_certificate(cert: Certificate, budget: int | None = None) -> tuple[bo
     s = separation(L)
     if s > cert.c:
         return False, f"separation {s} exceeds claimed c={cert.c}"
-    colorable, _, _ = _solve_masks(L.graph.adj, _lists_to_masks(L.lists)[1], cert.b, budget, False)
+    colorable, _, _ = _solve_masks(
+        L.graph.adj, _lists_to_masks(L.lists)[1], cert.b, budget, False, _annotated_shape(L.graph)
+    )
     verdict = "colorable" if colorable else "uncolorable"
     if verdict != cert.claim:
         return False, f"solver says {verdict}, certificate claims {cert.claim}"

@@ -24,6 +24,20 @@ split into one fresh color per component without changing colorability,
 list sizes, edge intersections, or amplitude sums, so decide_choosable
 scans connected traces only; enumerate_canonical keeps full generality
 (connected_only=False) since its contract is "every multiset".
+
+decide_choosable also skips every instance that an earlier one dominates.
+A pair trace {u,v} has room when u and v each keep a single (a private
+color) and, on an edge, the edge keeps slack below c.  Merging those two
+singles into one more color of trace {u,v} gives a valid instance that is
+harder (split the shared color back and any coloring of the merge colors
+the original) and is yielded earlier (same multiplicities before {u,v}'s
+level, a larger one there, and multiplicities are counted downward).  So
+the first failing instance is saturated: no pair trace has room, and only
+saturated instances are walked.  A pair's room is fixed at the last level
+whose trace touches u or v; there, a smaller multiplicity only leaves more
+room, so a level whose choice leaves room is dropped whole.  Merging a
+shared color with a single or another shared color would prune more, but
+breaks that monotonicity.
 """
 
 from __future__ import annotations
@@ -245,10 +259,12 @@ def _cycle_witness(masks, ranks, b: int, bump):
     return None
 
 
-def _solve_masks(adj, masks, b: int, budget: int | None, want_witness: bool):
+def _solve_masks(adj, masks, b: int, budget: int | None, want_witness: bool, shape=None):
     """Can every vertex v take b colors of masks[v], adjacent vertices
     disjoint?  Returns (colorable, nodes, phimask); phimask maps vertices to
     their chosen color masks and is None unless want_witness and colorable.
+    shape, when given, is shape_of's answer for the whole graph
+    (_annotated_shape), so a path or cycle graph is not walked again.
 
     Always extends the smallest uncolored vertex and solves the components
     of the rest independently, so lex-least pieces assemble the lex-least
@@ -289,6 +305,8 @@ def _solve_masks(adj, masks, b: int, budget: int | None, want_witness: bool):
     def shape_of(comp_t):
         # components are connected, so degree <= 2 makes a path or a cycle;
         # returns (cyclic, order), and a cycle's order starts at its minimum
+        if shape is not None and len(comp_t) == len(masks):
+            return shape
         compset = set(comp_t)
         nbrs = {v: [w for w in adj[v] if w in compset] for v in comp_t}
         if any(len(ns) > 2 for ns in nbrs.values()):
@@ -352,6 +370,22 @@ def _solve_masks(adj, masks, b: int, budget: int | None, want_witness: bool):
     return ok, nodes, (phimask if ok and want_witness else None)
 
 
+def _annotated_shape(g: Graph):
+    """(cyclic, order) of a path or cycle graph from its annotation, oriented
+    as shape_of orients it: the smaller end first, or a cycle from its
+    minimum toward its smaller neighbour.  None on other graphs."""
+    if g.cycle_order is not None:
+        k = g.cycle_order.index(0)
+        order = g.cycle_order[k:] + g.cycle_order[:k]
+        if order[-1] < order[1]:
+            order = order[:1] + order[:0:-1]
+        return True, order
+    if g.path_order is not None:
+        order = g.path_order
+        return False, order if order[0] <= order[-1] else order[::-1]
+    return None
+
+
 def _lists_to_masks(lists) -> tuple[list, list[int]]:
     """Bit i of a mask stands for the i-th smallest color of the universe."""
     universe = sorted(set().union(*lists))
@@ -375,7 +409,7 @@ def color_with_lists(L: ListAssignment, b: int, budget: int | None = None) -> So
         # phi(r) = L(r) is unsatisfiable at size b
         return SolveOutcome(colorable=False)
     universe, masks = _lists_to_masks(L.lists)
-    ok, nodes, phimask = _solve_masks(L.graph.adj, masks, b, budget, True)
+    ok, nodes, phimask = _solve_masks(L.graph.adj, masks, b, budget, True, _annotated_shape(L.graph))
     if not ok:
         return SolveOutcome(colorable=False, nodes_explored=nodes)
     witness = tuple(
@@ -422,11 +456,15 @@ def _trace_universe(g: Graph, connected_only: bool):
     return traces, len(edges)
 
 
-def _enumerate_entries(g: Graph, cap, c: int, connected_only: bool):
+def _enumerate_entries(g: Graph, cap, c: int, connected_only: bool, _saturated: bool = False):
     """Yield (shared, singles): shared = tuple of (trace, mult), singles = leftover
     per-vertex counts.  Multiplicities are chosen densest-trace-first and
     counted downward, so concentrated (adversarial) instances stream early.
-    Yielded tuples are fresh objects, safe to hold."""
+    Yielded tuples are fresh objects, safe to hold.
+
+    With _saturated, only instances in which no pair trace has room are
+    yielded (see the module docstring): a level whose choice leaves room on
+    a pair it settles is dropped whole, and its parent steps down."""
     traces, n_edges = _trace_universe(g, connected_only)
     rem_cap = list(cap)
     rem_edge = [c] * n_edges
@@ -434,6 +472,22 @@ def _enumerate_entries(g: Graph, cap, c: int, connected_only: bool):
     # explicit stack of per-level multiplicities: the universe can exceed the
     # interpreter's recursion depth on loose (disconnected-trace) enumerations
     ms: list[int] = []
+    if _saturated:
+        # settled[i]: the pair traces (u, v, edge or None) that no level after
+        # i touches, so their room is fixed once level i is set
+        settled: list[list] = [[] for _ in traces]
+        last = {v: i for i, (sub, _) in enumerate(traces) for v in sub}
+        for sub, internal in traces:
+            if len(sub) == 2:
+                u, v = sub
+                settled[max(last[u], last[v])].append((u, v, internal[0] if internal else None))
+
+    def room(i: int) -> bool:
+        # some pair trace that level i settles still has room
+        for u, v, e in settled[i]:
+            if rem_cap[u] and rem_cap[v] and (e is None or rem_edge[e]):
+                return True
+        return False
 
     def set_level(i: int, m: int) -> None:
         if m:
@@ -464,12 +518,19 @@ def _enumerate_entries(g: Graph, cap, c: int, connected_only: bool):
                 if rem_edge[e] < mmax:
                     mmax = rem_edge[e]
             set_level(len(ms), mmax)
-        yield (tuple(chosen), tuple(rem_cap))
+            if _saturated and room(len(ms) - 1):
+                # every smaller multiplicity here leaves at least as much room
+                clear_level()
+                break
+        else:  # every level is set and none was dropped
+            yield (tuple(chosen), tuple(rem_cap))
         while ms:
             m = clear_level()
             if m > 0:
                 set_level(len(ms), m - 1)
-                break
+                if not (_saturated and room(len(ms) - 1)):
+                    break
+                clear_level()
         else:
             return
 
@@ -535,7 +596,9 @@ def decide_choosable(
     there); on annotated cycles and paths one representative per vertex
     orbit suffices.  Instances go to the cycle or path kernel, or else to
     the search core in decision mode; realize runs only for the returned
-    counterexample.  nodes_explored counts instances plus core nodes.
+    counterexample.  Only saturated instances are walked (see the module
+    docstring), so nodes_explored counts saturated instances plus core
+    nodes.
     """
     if not (1 <= b <= a):
         raise ValueError("need 1 <= b <= a")
@@ -567,7 +630,7 @@ def decide_choosable(
         else:
             order = None
             kernel = None
-        for shared, singles in _enumerate_entries(g, cap, c, connected_only):
+        for shared, singles in _enumerate_entries(g, cap, c, connected_only, _saturated=True):
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceeded(nodes)

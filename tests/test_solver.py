@@ -20,7 +20,7 @@ from sepchoose import (
     realize,
     separation,
 )
-from sepchoose.solver import _lists_to_masks, _solve_masks
+from sepchoose.solver import _enumerate_entries, _lists_to_masks, _solve_masks
 from helpers import brute_force_colorable, brute_force_witness, random_cycle_lists
 
 F = frozenset
@@ -69,6 +69,41 @@ def test_enumeration_counts_connected_only():
     assert sum(1 for _ in enumerate_canonical(g4, 2, 1, 1)) == 90
     assert sum(1 for _ in enumerate_canonical(g4, 2, 1, 1, connected_only=True)) == 35
     assert sum(1 for _ in enumerate_canonical(g4, 2, 1, 1, precolored=0)) == 50
+
+
+def _has_room(g, connected_only, c, shared, singles):
+    """Some pair trace could still take a single from each end: both ends
+    keep a single and, on an edge, the edge keeps slack."""
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            edge = (u, v) in g.edges
+            if connected_only and not edge:
+                continue  # not a pair trace: {u, v} is disconnected
+            mass = sum(m for sub, m in shared if u in sub and v in sub)
+            if singles[u] and singles[v] and (not edge or mass < c):
+                return True
+    return False
+
+
+@seed(20200902)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_saturated_stream_is_full_stream_without_room(data):
+    # the pruned walk drops exactly the instances in which a pair trace has
+    # room, and keeps the order of the ones it yields
+    n = data.draw(st.integers(1, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = _graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    a = data.draw(st.integers(1, 3))
+    c = data.draw(st.integers(0, a))
+    cap = [a] * n
+    pinned = data.draw(st.none() | st.integers(0, n - 1))
+    if pinned is not None:
+        cap[pinned] = data.draw(st.integers(1, a))
+    connected_only = data.draw(st.booleans())
+    full = list(_enumerate_entries(g, cap, c, connected_only))
+    saturated = list(_enumerate_entries(g, cap, c, connected_only, _saturated=True))
+    assert saturated == [x for x in full if not _has_room(g, connected_only, c, *x)]
 
 
 def test_enumeration_handles_large_loose_universe():
@@ -227,12 +262,12 @@ def test_budget_exhaustion_raises():
 def test_nested_budget_counts_outer_and_inner_nodes():
     # K4-e has no annotation, so every instance runs the core; the reported
     # count is instances plus core nodes and always exceeds the budget
-    for budget in (50, 500):
+    full = decide_choosable(K4E, 4, 2, 2)
+    assert full.colorable
+    for budget in (50, full.nodes_explored // 2):
         with pytest.raises(BudgetExceeded) as ei:
             decide_choosable(K4E, 4, 2, 2, budget=budget)
         assert ei.value.nodes_explored > budget
-    full = decide_choosable(K4E, 4, 2, 2)
-    assert full.colorable
     assert decide_choosable(K4E, 4, 2, 2, budget=full.nodes_explored).colorable
     with pytest.raises(BudgetExceeded) as ei:
         decide_choosable(K4E, 4, 2, 2, budget=full.nodes_explored - 1)
@@ -241,7 +276,8 @@ def test_nested_budget_counts_outer_and_inner_nodes():
 
 def test_compute_sep_budget_sums_across_c():
     spent = sum(decide_choosable(K4E, 4, 2, c).nodes_explored for c in (4, 3))
-    for budget in (50, 500, spent + 100):
+    full_c2 = decide_choosable(K4E, 4, 2, 2).nodes_explored
+    for budget in (50, spent + full_c2 // 2, spent + 100):
         with pytest.raises(BudgetExceeded) as ei:
             compute_sep(K4E, 4, 2, budget=budget)
         assert ei.value.nodes_explored > budget
@@ -264,6 +300,55 @@ def test_connected_only_matches_full_enumeration():
                 full = decide_choosable(g, a, b, c, free=free, connected_only=False).colorable
                 fast = decide_choosable(g, a, b, c, free=free, connected_only=True).colorable
                 assert full == fast, (g.n, a, b, c, free)
+
+
+def _first_uncolorable(g, a, b, c, free):
+    """Reference for decide_choosable without its solver or its pruning: the
+    first instance of the full connected stream, over every root in order,
+    that brute force cannot color."""
+    for r in range(g.n) if free else [None]:
+        for t in enumerate_canonical(g, a, b, c, precolored=r, connected_only=True):
+            L = realize(t, g, a, precolored=r)
+            if not brute_force_colorable(L, b):
+                return L
+    return None
+
+
+ORACLE_GRAPHS = [build_cycle(3), build_cycle(4), build_cycle(5), build_path(2),
+                 build_path(3), build_path(4), build_path(5), K4E, UNANNOTATED[1]]
+
+
+def _check_against_reference(g, a, b, c, free):
+    out = decide_choosable(g, a, b, c, free=free)
+    ref = _first_uncolorable(g, a, b, c, free)
+    assert out.colorable == (ref is None), (g, a, b, c, free)
+    if ref is not None:
+        cx = out.counterexample
+        assert (cx.lists, cx.precolored) == (ref.lists, ref.precolored), (g, a, b, c, free)
+
+
+@pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=lambda g: f"n{g.n}e{len(g.edges)}")
+def test_decide_matches_brute_force_reference(g):
+    # free roots on annotated cycles and paths are orbit representatives;
+    # the reference tries every root, and by symmetry finds the same first one
+    for a in range(1, 4):
+        for b in range(1, a + 1):
+            for c in range(a + 1):
+                for free in (False, True):
+                    _check_against_reference(g, a, b, c, free)
+
+
+@seed(20200903)
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_decide_matches_brute_force_reference_on_random_graphs(data):
+    n = data.draw(st.integers(1, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = _graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    a = data.draw(st.integers(1, 3))
+    b = data.draw(st.integers(1, a))
+    c = data.draw(st.integers(0, a))
+    _check_against_reference(g, a, b, c, data.draw(st.booleans()))
 
 
 def test_compute_sep_known_cycle_values():
