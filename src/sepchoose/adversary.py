@@ -113,10 +113,6 @@ def gen_sep_odd_cycle(p: int, b: int, alpha: int) -> Certificate:
     return Certificate(graph=g, a=a, b=b, c=c, assignment=L, claim="uncolorable", family="cycle-odd-saturated")
 
 
-def _path_c(n: int, a: int, b: int) -> int:
-    return c_threshold(n, a, b).floor + 1
-
-
 def gen_path_family(n: int, a: int, b: int, variant: str, endpoints: str = "equal") -> Certificate:
     """Uncolorable path P_{n+1} with b-sized pinned end lists, one unit above
     the colorable threshold.

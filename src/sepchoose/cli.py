@@ -19,7 +19,6 @@ import os
 import sys
 
 from .adversary import (
-    Certificate,
     cert_from_json_dict,
     cert_to_json_dict,
     fig1_fixture,
@@ -156,12 +155,12 @@ def cmd_solve(args) -> int:
 
 
 _FAMILIES = {
-    "small-ratio": (["n", "b", "k"], lambda n, b, k: gen_sep_small_ratio(n, b, k)),
-    "odd-cycle": (["p", "b", "alpha"], lambda p, b, alpha: gen_sep_odd_cycle(p, b, alpha)),
+    "small-ratio": (["n", "b", "k"], gen_sep_small_ratio),
+    "odd-cycle": (["p", "b", "alpha"], gen_sep_odd_cycle),
     "path": (["n", "a", "b", "variant"], None),
-    "c3": (["a", "b", "variant"], lambda a, b, variant: gen_c3_family(a, b, variant)),
-    "flower": (["p", "a", "b"], lambda p, a, b: gen_flower(p, a, b)),
-    "fig1": ([], lambda: fig1_fixture()),
+    "c3": (["a", "b", "variant"], gen_c3_family),
+    "flower": (["p", "a", "b"], gen_flower),
+    "fig1": ([], fig1_fixture),
 }
 
 
@@ -336,13 +335,7 @@ def main(argv: list[str] | None = None) -> int:
             setattr(args, name, None)
     try:
         return _DISPATCH[args.command](args)
-    except SystemExit2 as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (SystemExit2, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,12 @@
-"""Constructive coloring procedures with auditable decision traces.
+"""Constructive coloring procedures that can record the colors they choose.
 
-Everything here colors by local rules rather than search: forward greedy on
-cycles with enough slack, a discard-and-recurse lift that trades 2k list
-colors for k coloring colors, pinned-path and pinned-cycle completion, and
-block-by-block walks for cactuses and outerplanar graphs.  Each procedure
-appends its per-vertex decisions to an optional ColoringPlan so a caller can
-audit exactly which lists were inspected and in what order.
+Forward greedy on slack cycles, the pick-and-discard step of a lift that
+trades 2k list colors for k coloring colors, and the bridge step of the
+block walk shared by cactuses and outerplanar graphs are local rules.
+Pinned-path and pinned-cycle completion (the solver directly on a pinned
+triangle), lift_cycle's default base, and so the walk's 2-connected blocks,
+call the exact solver.  A ColoringPlan records each vertex with the colors
+it got, in the order they were fixed, and nothing about the lists read.
 
 Free choices are always resolved lexicographically, so every procedure is
 deterministic.
@@ -16,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graphs import Graph, block_decomposition, build_cycle, build_path
+from .graphs import block_decomposition, build_cycle, build_path
 from .lists import BColoring, ColorSet, ListAssignment, amplitude_violation, amplitude_sigma
 from .solver import color_with_lists, free_color_with_lists
 
@@ -225,16 +226,46 @@ def _cycle_order_in_block(edges: frozenset[tuple[int, int]], entry: int) -> list
     return walk
 
 
-def _walk_blocks(L: ListAssignment, b: int, color_block) -> BColoring:
-    """BFS over the block tree from the pinned vertex, delegating each block
-    to color_block(vertex_set, edges, entry, phi)."""
+def _face_path(f, u: int, w: int) -> list[int]:
+    """Face f as a path from u around to w that avoids the edge (u, w)."""
+    m = len(f)
+    i, j = f.index(u), f.index(w)
+    seq = [u]
+    step = -1 if (i + 1) % m == j else 1
+    t = (i + step) % m
+    while t != j:
+        seq.append(f[t])
+        t = (t + step) % m
+    seq.append(w)
+    return seq
+
+
+def _face_edges(f) -> set[tuple[int, int]]:
+    m = len(f)
+    return {tuple(sorted((f[i], f[(i + 1) % m]))) for i in range(m)}
+
+
+def _walk_blocks(L: ListAssignment, b: int, plan: ColoringPlan | None, block_faces) -> BColoring:
+    """Color a connected graph with one pinned vertex block by block, in BFS
+    order over the blocks from the pin.  A bridge gives its far end the
+    lex-least b colors its colored end cannot see.  A 2-connected block is
+    completed face by face over block_faces(vertices, edges, entry): the
+    first listed face that holds the entry vertex becomes a cycle pinned at
+    the entry, and every further face a path pinned at the least edge it
+    shares with a face already colored."""
     g = L.graph
     r = L.precolored
     if r is None:
         raise ValueError("no pinned vertex")
+    if plan is not None:
+        plan.record(r, L.lists[r])
     phi: dict[int, frozenset[int]] = {r: frozenset(L.lists[r])}
-    if g.n == 1:
-        return (phi[r],)
+
+    def give(v: int, colors: frozenset[int]) -> None:
+        phi[v] = colors
+        if plan is not None:
+            plan.record(v, colors)
+
     bt = block_decomposition(g)
     vsets = [sorted({w for e in blk for w in e}) for blk in bt.blocks]
     by_vertex: dict[int, list[int]] = {}
@@ -248,46 +279,77 @@ def _walk_blocks(L: ListAssignment, b: int, color_block) -> BColoring:
         if bi in done:
             continue
         done.add(bi)
-        colored = [v for v in vsets[bi] if v in phi]
+        vset, edges = vsets[bi], bt.blocks[bi]
+        colored = [v for v in vset if v in phi]
         if len(colored) != 1:
             raise AssertionError("block walk reached a block with != 1 colored vertex")
-        color_block(vsets[bi], bt.blocks[bi], colored[0], phi)
-        for v in vsets[bi]:
-            queue.extend(bj for bj in by_vertex[v] if bj not in done)
-    if len(phi) != g.n:
-        raise ValueError("graph is not connected")
-    return tuple(phi[v] for v in range(g.n))
-
-
-def cactus_free_color(L: ListAssignment, b: int, plan: ColoringPlan | None = None) -> BColoring:
-    """Color a cactus with one vertex pinned to its whole b-list by walking
-    the block tree outward: bridges take the lex-least b colors their colored
-    end cannot see, cycle blocks are completed as pinned cycles."""
-
-    def color_block(vset, edges, entry, phi):
+        entry = colored[0]
         if len(edges) == 1:
             (u, v), = edges
             other = v if u == entry else u
             pool = L.lists[other] - phi[entry]
             if len(pool) < b:
                 raise ValueError(f"vertex {other}: only {len(pool)} colors avoid the colored end")
-            phi[other] = _lex_least(pool, b)
-            if plan is not None:
-                plan.record(other, phi[other])
-            return
-        walk = _cycle_order_in_block(edges, entry)
-        sub = build_cycle(len(walk))
-        lists = [phi[entry]] + [L.lists[w] for w in walk[1:]]
-        subL = ListAssignment(graph=sub, lists=tuple(lists), a=L.a, precolored=0)
-        psi = cycle_color_precolored(subL, b)
-        for i, w in enumerate(walk[1:], start=1):
-            phi[w] = psi[i]
-            if plan is not None:
-                plan.record(w, phi[w])
+            give(other, _lex_least(pool, b))
+        else:
+            _color_faces(L, b, block_faces(vset, edges, entry), vset, entry, phi, give)
+        for v in vset:
+            queue.extend(bj for bj in by_vertex[v] if bj not in done)
+    if len(phi) != g.n:
+        raise ValueError("graph is not connected")
+    return tuple(phi[v] for v in range(g.n))
 
-    if plan is not None and L.precolored is not None:
-        plan.record(L.precolored, L.lists[L.precolored])
-    return _walk_blocks(L, b, color_block)
+
+def _color_faces(L: ListAssignment, b: int, faces, vset, entry: int, phi, give) -> None:
+    """The 2-connected block step of `_walk_blocks`; checks that the faces
+    form an edge-connected tree that covers the block."""
+    if not faces:
+        raise ValueError("a 2-connected block has no recorded face")
+    root = min((fi for fi, f in enumerate(faces) if entry in f), default=None)
+    if root is None:
+        raise ValueError("no face contains the block's entry vertex")
+    f0 = faces[root]
+    idx = f0.index(entry)
+    walk = f0[idx:] + f0[:idx]
+    lists = [phi[entry]] + [L.lists[w] for w in walk[1:]]
+    subL = ListAssignment(graph=build_cycle(len(walk)), lists=tuple(lists), a=L.a, precolored=0)
+    psi = cycle_color_precolored(subL, b)
+    for i, w in enumerate(walk[1:], start=1):
+        give(w, psi[i])
+    seen = {root}
+    queue = deque([root])
+    ecache = [_face_edges(f) for f in faces]
+    while queue:
+        fi = queue.popleft()
+        for fj, f in enumerate(faces):
+            if fj in seen:
+                continue
+            shared = ecache[fi] & ecache[fj]
+            if not shared:
+                continue
+            u, w = min(shared)
+            seq = _face_path(f, u, w)
+            if any(x in phi for x in seq[1:-1]):
+                raise ValueError("inner faces do not form a tree")
+            lists = [phi[u]] + [L.lists[x] for x in seq[1:-1]] + [phi[w]]
+            pL = ListAssignment(graph=build_path(len(seq)), lists=tuple(lists), a=L.a)
+            psi = path_color_precolored(pL, b)
+            for i, x in enumerate(seq[1:-1], start=1):
+                give(x, psi[i])
+            seen.add(fj)
+            queue.append(fj)
+    if len(seen) != len(faces):
+        raise ValueError("the block's faces are not edge-connected")
+    for v in vset:
+        if v not in phi:
+            raise ValueError(f"faces do not cover vertex {v}")
+
+
+def cactus_free_color(L: ListAssignment, b: int, plan: ColoringPlan | None = None) -> BColoring:
+    """Color a cactus with one vertex pinned to its whole b-list by walking
+    the block tree outward: bridges take the lex-least b colors their colored
+    end cannot see, cycle blocks are completed as pinned cycles."""
+    return _walk_blocks(L, b, plan, lambda vset, edges, entry: [_cycle_order_in_block(edges, entry)])
 
 
 def outerplanar_color(L: ListAssignment, b: int, plan: ColoringPlan | None = None) -> BColoring:
@@ -300,83 +362,8 @@ def outerplanar_color(L: ListAssignment, b: int, plan: ColoringPlan | None = Non
         raise ValueError("outerplanar coloring needs the inner faces")
     faces = [tuple(f) for f in g.faces]
 
-    def face_edges(f):
-        m = len(f)
-        return {tuple(sorted((f[i], f[(i + 1) % m]))) for i in range(m)}
-
-    def color_face_from_edge(f, u, w, phi):
-        # complete f as a path from u around to w, avoiding the shared edge
-        m = len(f)
-        i, j = f.index(u), f.index(w)
-        seq = [u]
-        step = -1 if (i + 1) % m == j else 1
-        t = (i + step) % m
-        while t != j:
-            seq.append(f[t])
-            t = (t + step) % m
-        seq.append(w)
-        for x in seq[1:-1]:
-            if x in phi:
-                raise ValueError("inner faces do not form a tree")
-        pg = build_path(len(seq))
-        lists = [phi[u]] + [L.lists[x] for x in seq[1:-1]] + [phi[w]]
-        pL = ListAssignment(graph=pg, lists=tuple(lists), a=L.a)
-        psi = path_color_precolored(pL, b)
-        for idx, x in enumerate(seq[1:-1], start=1):
-            phi[x] = psi[idx]
-            if plan is not None:
-                plan.record(x, phi[x])
-
-    def color_block(vset, edges, entry, phi):
-        if len(edges) == 1:
-            (u, v), = edges
-            other = v if u == entry else u
-            pool = L.lists[other] - phi[entry]
-            if len(pool) < b:
-                raise ValueError(f"vertex {other}: only {len(pool)} colors avoid the colored end")
-            phi[other] = _lex_least(pool, b)
-            if plan is not None:
-                plan.record(other, phi[other])
-            return
+    def block_faces(vset, edges, entry):
         vs = set(vset)
-        local = [f for f in faces if set(f) <= vs]
-        if not local:
-            raise ValueError("a 2-connected block has no recorded face")
-        root = min((fi for fi, f in enumerate(local) if entry in f), default=None)
-        if root is None:
-            raise ValueError("no face contains the block's entry vertex")
-        f0 = local[root]
-        sub = build_cycle(len(f0))
-        idx = f0.index(entry)
-        walk = f0[idx:] + f0[:idx]
-        lists = [phi[entry]] + [L.lists[w] for w in walk[1:]]
-        subL = ListAssignment(graph=sub, lists=tuple(lists), a=L.a, precolored=0)
-        psi = cycle_color_precolored(subL, b)
-        for i, w in enumerate(walk[1:], start=1):
-            phi[w] = psi[i]
-            if plan is not None:
-                plan.record(w, phi[w])
-        seen = {root}
-        queue = deque([root])
-        ecache = [face_edges(f) for f in local]
-        while queue:
-            fi = queue.popleft()
-            for fj, f in enumerate(local):
-                if fj in seen:
-                    continue
-                shared = ecache[fi] & ecache[fj]
-                if not shared:
-                    continue
-                u, w = min(shared)
-                color_face_from_edge(f, u, w, phi)
-                seen.add(fj)
-                queue.append(fj)
-        if len(seen) != len(local):
-            raise ValueError("the block's faces are not edge-connected")
-        for v in vset:
-            if v not in phi:
-                raise ValueError(f"faces do not cover vertex {v}")
+        return [f for f in faces if vs.issuperset(f)]
 
-    if plan is not None and L.precolored is not None:
-        plan.record(L.precolored, L.lists[L.precolored])
-    return _walk_blocks(L, b, color_block)
+    return _walk_blocks(L, b, plan, block_faces)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, girth, is_cactus, shortest_cycle_above_3
+from .graphs import Graph, _cycle_block_lengths
 
 __all__ = [
     "FormulaResult",
@@ -143,16 +143,18 @@ def fsep_cactus(g: Graph, a: int, b: int) -> FormulaResult:
 
     Shortest cycle wins unless triangles coexist with longer cycles; then
     the interval (2l+1)b/(l+1) < a < (2l+2)b/l is exactly where the shortest
-    longer cycle l is the bottleneck instead of the triangle.
+    longer cycle l is the bottleneck instead of the triangle.  Every cycle
+    of a cactus is a block, so the girth and l are read from the cycle
+    block lengths.
     """
     _check(a, b)
-    if not is_cactus(g):
+    lengths = _cycle_block_lengths(g)
+    if lengths is None:
         raise ValueError("graph is not a cactus")
-    gg = girth(g)
-    if gg == math.inf:
+    if not lengths:
         raise ValueError("forest input: no cycle, free-separation unbounded here")
-    gg = int(gg)
-    ell = shortest_cycle_above_3(g)
+    gg = lengths[0]
+    ell = next((l for l in lengths if l >= 4), None)
     if gg >= 4:
         return FormulaResult(fsep_cycle(gg, a, b).value, "girth")
     if ell is None:

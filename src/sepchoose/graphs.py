@@ -2,10 +2,10 @@
 
 Vertices are dense ints 0..n-1 and edges are unordered pairs stored as
 (min, max) tuples.  A Graph may carry optional annotations recording how it
-was built: a cycle order, a path order, a face list for outerplanar inputs,
-and a block tree.  Annotations are trusted descriptions of structure that is
-expensive or ambiguous to reconstruct; `block_decomposition` always computes
-from scratch and is the ground truth for blocks.
+was built: a cycle order, a path order, and a face list for outerplanar
+inputs.  Annotations are trusted descriptions of structure that is expensive
+or ambiguous to reconstruct.  Blocks are not annotated: `block_decomposition`
+computes them from scratch and is their only source.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ class BlockTree:
     blocks: tuple[frozenset[Edge], ...]
     cut_vertices: frozenset[int]
 
-    def block_vertex_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(itertools.chain.from_iterable(b)) for b in self.blocks)
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -39,8 +36,6 @@ class Graph:
     cycle_order: tuple[int, ...] | None = None
     path_order: tuple[int, ...] | None = None
     faces: tuple[tuple[int, ...], ...] | None = None
-    # advisory: always recomputable via block_decomposition, so not compared
-    blocks: BlockTree | None = field(default=None, compare=False)
     adj: tuple[frozenset[int], ...] = field(
         init=False, compare=False, repr=False, hash=False, default=()
     )
@@ -118,8 +113,7 @@ def build_cycle(n: int) -> Graph:
         raise ValueError("cycles need n >= 3")
     edges = frozenset(_norm(i, (i + 1) % n) for i in range(n))
     order = tuple(range(n))
-    return Graph(n=n, edges=edges, cycle_order=order,
-                 blocks=BlockTree(blocks=(edges,), cut_vertices=frozenset()))
+    return Graph(n=n, edges=edges, cycle_order=order)
 
 
 def build_path(n: int) -> Graph:
@@ -137,16 +131,11 @@ def build_flower(p: int, k: int) -> Graph:
     if k < 1:
         raise ValueError("need at least one petal")
     edges = set()
-    blocks = []
     for i in range(k):
         lo = 1 + i * (p - 1)
         ring = [0] + list(range(lo, lo + p - 1))
-        block = frozenset(_norm(ring[j], ring[(j + 1) % p]) for j in range(p))
-        blocks.append(block)
-        edges |= block
-    cuts = frozenset([0]) if k > 1 else frozenset()
-    return Graph(n=k * (p - 1) + 1, edges=frozenset(edges),
-                 blocks=BlockTree(blocks=tuple(blocks), cut_vertices=cuts))
+        edges |= {_norm(ring[j], ring[(j + 1) % p]) for j in range(p)}
+    return Graph(n=k * (p - 1) + 1, edges=frozenset(edges))
 
 
 def identify_vertices(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
@@ -154,8 +143,7 @@ def identify_vertices(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
 
     g2's vertices are renumbered densely after g1's (v2 maps to v1).  Face
     lists survive when both sides have them; cycle and path orders do not
-    describe the merged graph and are dropped.  Block trees are merged when
-    both sides carry one.
+    describe the merged graph and are dropped.
     """
     if not (0 <= v1 < g1.n and 0 <= v2 < g2.n):
         raise ValueError("identification vertex out of range")
@@ -175,19 +163,7 @@ def identify_vertices(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
     faces = None
     if g1.faces is not None and g2.faces is not None:
         faces = g1.faces + tuple(tuple(remap[v] for v in f) for f in g2.faces)
-
-    blocks = None
-    if g1.blocks is not None and g2.blocks is not None:
-        bs = list(g1.blocks.blocks)
-        for b in g2.blocks.blocks:
-            bs.append(frozenset(_norm(remap[u], remap[v]) for u, v in b))
-        cuts = set(g1.blocks.cut_vertices)
-        cuts |= {remap[v] for v in g2.blocks.cut_vertices}
-        if g1.edges and g2.edges:
-            cuts.add(v1)
-        blocks = BlockTree(blocks=tuple(bs), cut_vertices=frozenset(cuts))
-
-    return Graph(n=nxt, edges=frozenset(edges), faces=faces, blocks=blocks)
+    return Graph(n=nxt, edges=frozenset(edges), faces=faces)
 
 
 def block_decomposition(g: Graph) -> BlockTree:
@@ -261,21 +237,30 @@ def block_decomposition(g: Graph) -> BlockTree:
     return BlockTree(blocks=tuple(blocks), cut_vertices=frozenset(cuts))
 
 
-def is_cactus(g: Graph) -> bool:
-    """Every block is a single edge or an induced cycle."""
+def _cycle_block_lengths(g: Graph) -> list[int] | None:
+    """Sorted lengths of the cycle blocks, from one block decomposition;
+    None when some block is neither a bridge nor an induced cycle.  On a
+    cactus every cycle is a block, so these are all its cycle lengths."""
+    lengths = []
     for b in block_decomposition(g).blocks:
         if len(b) == 1:
             continue
         verts = set(itertools.chain.from_iterable(b))
         if len(b) != len(verts):
-            return False
+            return None
         deg = {v: 0 for v in verts}
         for u, v in b:
             deg[u] += 1
             deg[v] += 1
         if any(d != 2 for d in deg.values()):
-            return False
-    return True
+            return None
+        lengths.append(len(b))
+    return sorted(lengths)
+
+
+def is_cactus(g: Graph) -> bool:
+    """Every block is a single edge or an induced cycle."""
+    return _cycle_block_lengths(g) is not None
 
 
 def girth(g: Graph):
@@ -307,14 +292,6 @@ def girth(g: Graph):
     return best
 
 
-def _cycle_lengths_of_cactus(bt: BlockTree) -> list[int]:
-    out = []
-    for b in bt.blocks:
-        if len(b) >= 3:
-            out.append(len(b))
-    return sorted(out)
-
-
 def _all_simple_cycle_lengths(g: Graph) -> set[int]:
     # desk-scale fallback for non-cactus inputs: rooted DFS enumeration,
     # each cycle found once from its smallest vertex
@@ -339,10 +316,10 @@ def _all_simple_cycle_lengths(g: Graph) -> set[int]:
 
 def shortest_cycle_above_3(g: Graph) -> int | None:
     """Minimum cycle length >= 4, or None if every cycle is a triangle."""
-    if is_cactus(g):
-        lens = [l for l in _cycle_lengths_of_cactus(block_decomposition(g)) if l >= 4]
-        return min(lens) if lens else None
-    lens = [l for l in _all_simple_cycle_lengths(g) if l >= 4]
+    lens = _cycle_block_lengths(g)
+    if lens is None:
+        lens = _all_simple_cycle_lengths(g)
+    lens = [l for l in lens if l >= 4]
     return min(lens) if lens else None
 
 
@@ -350,7 +327,8 @@ def weak_dual(g: Graph) -> Graph:
     """Face-adjacency graph over the annotated face list.
 
     Faces are adjacent when they share at least one edge.  Raises unless the
-    result is a tree, which is what the outerplanar machinery relies on.
+    result is a tree, so a graph with two or more 2-connected blocks is
+    rejected; `outerplanar_color` walks the faces of each block itself.
     """
     if g.faces is None:
         raise ValueError("graph carries no face list")

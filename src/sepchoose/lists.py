@@ -125,14 +125,10 @@ def _span_order(g: Graph) -> tuple[tuple[int, ...], bool]:
         return g.path_order, False
     if g.cycle_order is not None:
         return g.cycle_order, True
-    if all(_complete_pair(g, u, v) for u, v in itertools.combinations(range(g.n), 2)):
+    if _is_complete(g):
         # complete graphs: any order works, every trace has independence 1
         return tuple(range(g.n)), False
     raise ValueError("amplitude spans need a path, cycle, or complete graph")
-
-
-def _complete_pair(g: Graph, u: int, v: int) -> bool:
-    return (min(u, v), max(u, v)) in g.edges
 
 
 def _is_complete(g: Graph) -> bool:

@@ -5,7 +5,7 @@ All builders take an explicit random.Random so failures replay exactly.
 
 from __future__ import annotations
 
-from sepchoose import Graph, ListAssignment
+from sepchoose import Graph, ListAssignment, identify_vertices
 
 
 def random_cycle_lists(rng, n, a, c, pinned_b=None, pool_size=None):
@@ -88,6 +88,20 @@ def snake(rng, faces_n, flen):
         faces.append(tuple(cyc))
         n += flen - 2
     return Graph(n=n, edges=frozenset(edges), faces=tuple(faces))
+
+
+def glued_snakes(rng, flen, bridges=1):
+    """Two snakes of flen-gon faces glued at one vertex, plus pendant
+    bridges at random vertices: outerplanar with two 2-connected blocks.
+    The face list survives the gluing."""
+    s1 = snake(rng, rng.randint(1, 3), flen)
+    s2 = snake(rng, rng.randint(1, 2), flen)
+    g = identify_vertices(s1, rng.randrange(s1.n), s2, rng.randrange(s2.n))
+    edges, n = set(g.edges), g.n
+    for _ in range(bridges):
+        edges.add((rng.randrange(n), n))
+        n += 1
+    return Graph(n=n, edges=frozenset(edges), faces=g.faces)
 
 
 def brute_force_witness(L: ListAssignment, b: int):

@@ -1,11 +1,14 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from sepchoose import (
     ColoringPlan,
     ListAssignment,
+    block_decomposition,
     build_cycle,
     build_path,
     cactus_free_color,
@@ -16,6 +19,7 @@ from sepchoose import (
     gen_path_family,
     girth,
     glue_path_to_cycle,
+    graph_from_json_dict,
     greedy_cycle,
     is_valid_coloring,
     lift_cycle,
@@ -23,7 +27,7 @@ from sepchoose import (
     path_color_precolored,
     separation,
 )
-from helpers import random_cactus, random_cycle_lists, random_lists_sep, snake
+from helpers import glued_snakes, random_cactus, random_cycle_lists, random_lists_sep, snake
 
 F = frozenset
 
@@ -214,12 +218,58 @@ def test_outerplanar_color_snakes():
         assert sorted(v for v, _ in plan.steps) == list(range(g.n))
 
 
+def test_outerplanar_color_multi_block():
+    rng = random.Random(41)
+    a, b = 9, 4
+    c = fsep_outerplanar_bounds(5, a, b)[0].value
+    for _ in range(25):
+        g = glued_snakes(rng, rng.choice([5, 6]), bridges=rng.randint(1, 2))
+        blocks = block_decomposition(g).blocks
+        assert sum(len(blk) > 1 for blk in blocks) == 2
+        assert any(len(blk) == 1 for blk in blocks)
+        pin = rng.randrange(g.n)
+        lists = random_lists_sep(rng, g, a, c, pinned=pin, b=b)
+        L = ListAssignment(graph=g, lists=lists, a=a, precolored=pin)
+        plan = ColoringPlan("outerplanar")
+        phi = outerplanar_color(L, b, plan)
+        assert is_valid_coloring(L, phi, b)
+        assert phi[pin] == L.lists[pin]
+        assert sorted(v for v, _ in plan.steps) == list(range(g.n))
+
+
 def test_outerplanar_color_requires_faces():
     L = ListAssignment(
         graph=build_cycle(4), lists=(F({1}), F({1, 2}), F({2, 3}), F({3, 4})), a=2, precolored=0
     )
     with pytest.raises(ValueError, match="inner faces"):
         outerplanar_color(L, 1)
+
+
+# --- frozen block-walk outputs -----------------------------------------------
+
+# Frozen colorings, plan steps and error messages of seeded cactus and
+# outerplanar instances: validity tests alone would not see a changed
+# choice.  One outerplanar instance is a single snake pinned on an edge that
+# two faces share; the others are two snakes glued at a vertex plus a
+# pendant bridge.
+GOLDEN = json.loads(Path(__file__).with_name("colorer_golden.json").read_text())
+PROCS = {"cactus_free_color": cactus_free_color, "outerplanar_color": outerplanar_color}
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[f"{i}-{d['proc']}" for i, d in enumerate(GOLDEN)])
+def test_block_walk_golden(case):
+    g = graph_from_json_dict(case["graph"])
+    lists = tuple(frozenset(s) for s in case["lists"])
+    L = ListAssignment(graph=g, lists=lists, a=case["a"], precolored=case["pin"])
+    plan = ColoringPlan(case["proc"])
+    if "error" in case:
+        with pytest.raises(ValueError) as err:
+            PROCS[case["proc"]](L, case["b"], plan)
+        assert str(err.value) == case["error"]
+    else:
+        phi = PROCS[case["proc"]](L, case["b"], plan)
+        assert [sorted(s) for s in phi] == case["coloring"]
+    assert plan.to_json_dict()["steps"] == case["steps"]
 
 
 def test_plan_json_shape():

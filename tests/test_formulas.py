@@ -144,6 +144,17 @@ def test_fsep_cactus_rejects_bad_input():
         fsep_cactus(build_path(4), 3, 1)
 
 
+def test_fsep_cactus_decomposes_once(monkeypatch):
+    import sepchoose.graphs as graphs
+
+    calls = []
+    real = graphs.block_decomposition
+    monkeypatch.setattr(graphs, "block_decomposition", lambda g: calls.append(g) or real(g))
+    g = identify_vertices(build_cycle(3), 0, build_cycle(5), 0)
+    assert fsep_cactus(g, 12, 6).regime == "mixed-cycle"
+    assert len(calls) == 1
+
+
 def test_outerplanar_bounds():
     lo, hi = fsep_outerplanar_bounds(5, 9, 4)
     assert (lo.value, hi.value) == (3, 4)
