@@ -266,8 +266,8 @@ def _walk_blocks(L: ListAssignment, b: int, plan: ColoringPlan | None, block_fac
         if plan is not None:
             plan.record(v, colors)
 
-    bt = block_decomposition(g)
-    vsets = [sorted({w for e in blk for w in e}) for blk in bt.blocks]
+    blocks = block_decomposition(g)
+    vsets = [sorted({w for e in blk for w in e}) for blk in blocks]
     by_vertex: dict[int, list[int]] = {}
     for bi, vs in enumerate(vsets):
         for v in vs:
@@ -279,7 +279,7 @@ def _walk_blocks(L: ListAssignment, b: int, plan: ColoringPlan | None, block_fac
         if bi in done:
             continue
         done.add(bi)
-        vset, edges = vsets[bi], bt.blocks[bi]
+        vset, edges = vsets[bi], blocks[bi]
         colored = [v for v in vset if v in phi]
         if len(colored) != 1:
             raise AssertionError("block walk reached a block with != 1 colored vertex")
@@ -316,19 +316,18 @@ def _color_faces(L: ListAssignment, b: int, faces, vset, entry: int, phi, give) 
     psi = cycle_color_precolored(subL, b)
     for i, w in enumerate(walk[1:], start=1):
         give(w, psi[i])
+    ecache = [_face_edges(f) for f in faces]
+    on_edge: dict[tuple[int, int], list[int]] = {}
+    for fi, fe in enumerate(ecache):
+        for e in fe:
+            on_edge.setdefault(e, []).append(fi)
     seen = {root}
     queue = deque([root])
-    ecache = [_face_edges(f) for f in faces]
     while queue:
         fi = queue.popleft()
-        for fj, f in enumerate(faces):
-            if fj in seen:
-                continue
-            shared = ecache[fi] & ecache[fj]
-            if not shared:
-                continue
-            u, w = min(shared)
-            seq = _face_path(f, u, w)
+        for fj in sorted({fk for e in ecache[fi] for fk in on_edge[e]} - seen):
+            u, w = min(ecache[fi] & ecache[fj])
+            seq = _face_path(faces[fj], u, w)
             if any(x in phi for x in seq[1:-1]):
                 raise ValueError("inner faces do not form a tree")
             lists = [phi[u]] + [L.lists[x] for x in seq[1:-1]] + [phi[w]]

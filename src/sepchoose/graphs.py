@@ -11,7 +11,6 @@ computes them from scratch and is their only source.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 Edge = tuple[int, int]
@@ -19,14 +18,6 @@ Edge = tuple[int, int]
 
 def _norm(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
-
-
-@dataclass(frozen=True)
-class BlockTree:
-    """Biconnected components (as edge sets) plus the cut vertices."""
-
-    blocks: tuple[frozenset[Edge], ...]
-    cut_vertices: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -166,75 +157,53 @@ def identify_vertices(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
     return Graph(n=nxt, edges=frozenset(edges), faces=faces)
 
 
-def block_decomposition(g: Graph) -> BlockTree:
-    """Biconnected components via iterative lowpoint DFS; connected input only."""
-    seen = {0}
-    q = [0]
-    while q:
-        u = q.pop()
-        for w in g.adj[u]:
-            if w not in seen:
-                seen.add(w)
-                q.append(w)
-    if len(seen) != g.n:
-        raise ValueError("block decomposition needs a connected graph")
+def block_decomposition(g: Graph) -> tuple[frozenset[Edge], ...]:
+    """The blocks (biconnected components) of a connected graph, each as its
+    edge set, ordered by their sorted edge lists; one iterative lowpoint DFS
+    from vertex 0."""
     disc = [0] * g.n
     low = [0] * g.n
-    timer = 1
-    cuts = set()
+    disc[0] = low[0] = 1
+    timer = 2
     blocks = []
     estack: list[Edge] = []
-
-    def flush_block(u: int, v: int):
-        here = _norm(u, v)
-        comp = set()
-        while estack:
-            e = estack.pop()
-            comp.add(e)
-            if e == here:
-                break
-        blocks.append(frozenset(comp))
-
-    for root in range(g.n):
-        if disc[root]:
-            continue
-        root_children = 0
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, -1, iter(sorted(g.adj[root])))]
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if not disc[w]:
-                    estack.append(_norm(v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    if v == root:
-                        root_children += 1
-                    stack.append((w, v, iter(sorted(g.adj[w]))))
-                    advanced = True
-                    break
-                if disc[w] < disc[v]:
-                    estack.append(_norm(v, w))
-                    low[v] = min(low[v], disc[w])
-            if advanced:
+    stack = [(0, -1, iter(sorted(g.adj[0])))]
+    while stack:
+        v, parent, it = stack[-1]
+        advanced = False
+        for w in it:
+            if w == parent:
                 continue
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    # u separates v's subtree; the root case is settled below
-                    if u != root:
-                        cuts.add(u)
-                    flush_block(u, v)
-        if root_children > 1:
-            cuts.add(root)
+            if not disc[w]:
+                estack.append(_norm(v, w))
+                disc[w] = low[w] = timer
+                timer += 1
+                stack.append((w, v, iter(sorted(g.adj[w]))))
+                advanced = True
+                break
+            if disc[w] < disc[v]:
+                estack.append(_norm(v, w))
+                low[v] = min(low[v], disc[w])
+        if advanced:
+            continue
+        stack.pop()
+        if stack:
+            u = stack[-1][0]
+            low[u] = min(low[u], low[v])
+            if low[v] >= disc[u]:
+                # u separates v's subtree: its edges on the stack are a block
+                here = _norm(u, v)
+                comp = set()
+                while estack:
+                    e = estack.pop()
+                    comp.add(e)
+                    if e == here:
+                        break
+                blocks.append(frozenset(comp))
+    if timer != g.n + 1:
+        raise ValueError("block decomposition needs a connected graph")
     blocks.sort(key=lambda b: sorted(b))
-    return BlockTree(blocks=tuple(blocks), cut_vertices=frozenset(cuts))
+    return tuple(blocks)
 
 
 def _cycle_block_lengths(g: Graph) -> list[int] | None:
@@ -242,7 +211,7 @@ def _cycle_block_lengths(g: Graph) -> list[int] | None:
     None when some block is neither a bridge nor an induced cycle.  On a
     cactus every cycle is a block, so these are all its cycle lengths."""
     lengths = []
-    for b in block_decomposition(g).blocks:
+    for b in block_decomposition(g):
         if len(b) == 1:
             continue
         verts = set(itertools.chain.from_iterable(b))
@@ -261,102 +230,3 @@ def _cycle_block_lengths(g: Graph) -> list[int] | None:
 def is_cactus(g: Graph) -> bool:
     """Every block is a single edge or an induced cycle."""
     return _cycle_block_lengths(g) is not None
-
-
-def girth(g: Graph):
-    """Length of a shortest cycle; math.inf for forests.
-
-    BFS from every root; a non-tree edge (u,w) seen from root r witnesses a
-    closed walk of length dist[u]+dist[w]+1 which contains a cycle no longer
-    than that, and roots on a shortest cycle achieve equality.
-    """
-    best = math.inf
-    for root in range(g.n):
-        dist = [-1] * g.n
-        par = [-1] * g.n
-        dist[root] = 0
-        q = [root]
-        head = 0
-        while head < len(q):
-            u = q[head]
-            head += 1
-            for w in g.adj[u]:
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    par[w] = u
-                    q.append(w)
-                elif par[u] != w and par[w] != u:
-                    best = min(best, dist[u] + dist[w] + 1)
-        if best == 3:
-            return 3
-    return best
-
-
-def _all_simple_cycle_lengths(g: Graph) -> set[int]:
-    # desk-scale fallback for non-cactus inputs: rooted DFS enumeration,
-    # each cycle found once from its smallest vertex
-    lengths = set()
-
-    def extend(path: list[int], seen: set[int]):
-        v = path[-1]
-        for w in sorted(g.adj[v]):
-            if w == path[0] and len(path) >= 3:
-                lengths.add(len(path))
-            elif w > path[0] and w not in seen:
-                path.append(w)
-                seen.add(w)
-                extend(path, seen)
-                seen.discard(w)
-                path.pop()
-
-    for s in range(g.n):
-        extend([s], {s})
-    return lengths
-
-
-def shortest_cycle_above_3(g: Graph) -> int | None:
-    """Minimum cycle length >= 4, or None if every cycle is a triangle."""
-    lens = _cycle_block_lengths(g)
-    if lens is None:
-        lens = _all_simple_cycle_lengths(g)
-    lens = [l for l in lens if l >= 4]
-    return min(lens) if lens else None
-
-
-def weak_dual(g: Graph) -> Graph:
-    """Face-adjacency graph over the annotated face list.
-
-    Faces are adjacent when they share at least one edge.  Raises unless the
-    result is a tree, so a graph with two or more 2-connected blocks is
-    rejected; `outerplanar_color` walks the faces of each block itself.
-    """
-    if g.faces is None:
-        raise ValueError("graph carries no face list")
-    m = len(g.faces)
-    face_edges = []
-    for f in g.faces:
-        face_edges.append({_norm(f[i], f[(i + 1) % len(f)]) for i in range(len(f))})
-    dedges = set()
-    for i in range(m):
-        for j in range(i + 1, m):
-            if face_edges[i] & face_edges[j]:
-                dedges.add((i, j))
-    if m > 1:
-        if len(dedges) != m - 1:
-            raise ValueError("weak dual is not a tree")
-        # connectivity check
-        adj = {i: set() for i in range(m)}
-        for u, v in dedges:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != m:
-            raise ValueError("weak dual is not a tree")
-    return Graph(n=m, edges=frozenset(dedges))

@@ -16,7 +16,9 @@ the first b-subset that misses one from each side (_path_witness; one
 backward sweep and one forward pass when vertex numbers rise along the
 path).  A cycle component fixes its smallest vertex per candidate and
 colors the path that is left (_cycle_witness).  Frozenset lists appear
-only at the public edges.
+only at the public edges.  The search runs on an explicit stack of
+generators, one per open component, so its depth is bounded by memory, not
+by the interpreter's recursion limit, which it never touches.
 
 Choosability enumerates list assignments up to color relabeling (trace
 multisets).  A color whose trace induces a disconnected subgraph can be
@@ -43,7 +45,6 @@ breaks that monotonicity.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -318,7 +319,9 @@ def _solve_masks(adj, masks, b: int, budget: int | None, want_witness: bool, sha
             order.append(nxt)
         return not ends, order
 
-    def solve(comp_t: tuple) -> bool:
+    def solve(comp_t: tuple):
+        # a generator: it yields each sub-component it needs decided and is
+        # sent back that component's verdict; it returns its own verdict
         eff = {}
         for v in comp_t:
             used = 0
@@ -351,7 +354,10 @@ def _solve_masks(adj, masks, b: int, budget: int | None, want_witness: bool, sha
         for cand in itertools.combinations(bits, b):
             bump()
             phimask[v] = sum(1 << i for i in cand)
-            if all(solve(sub) for sub in split(rest)):
+            for sub in split(rest):
+                if not (yield sub):
+                    break
+            else:
                 if not want_witness:
                     memo[key] = True
                 return True
@@ -361,12 +367,21 @@ def _solve_masks(adj, masks, b: int, budget: int | None, want_witness: bool, sha
         memo[key] = False
         return False
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * len(masks) + 100))
-    try:
-        ok = all(solve(comp) for comp in split(tuple(range(len(masks)))))
-    finally:
-        sys.setrecursionlimit(old_limit)
+    def run(comp_t: tuple) -> bool:
+        # runs solve on an explicit stack, so depth costs no Python frames
+        stack, verdict = [solve(comp_t)], None
+        while stack:
+            try:
+                sub = stack[-1].send(verdict)
+            except StopIteration as done:
+                stack.pop()
+                verdict = done.value
+            else:
+                stack.append(solve(sub))
+                verdict = None
+        return verdict
+
+    ok = all(run(comp) for comp in split(tuple(range(len(masks)))))
     return ok, nodes, (phimask if ok and want_witness else None)
 
 
@@ -588,7 +603,6 @@ def decide_choosable(
     c: int,
     free: bool = False,
     budget: int | None = None,
-    connected_only: bool = True,
 ) -> SolveOutcome:
     """Is every c-separating assignment of a-lists (L,b)-colorable?
 
@@ -630,7 +644,7 @@ def decide_choosable(
         else:
             order = None
             kernel = None
-        for shared, singles in _enumerate_entries(g, cap, c, connected_only, _saturated=True):
+        for shared, singles in _enumerate_entries(g, cap, c, connected_only=True, _saturated=True):
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceeded(nodes)
@@ -657,7 +671,6 @@ def compute_sep(
     b: int,
     free: bool = False,
     budget: int | None = None,
-    connected_only: bool = True,
 ) -> int:
     """Largest c in [0, a] such that g is (a,b,c)-choosable (free variant
     optional).  Scans c downward; choosability is monotone decreasing in c,
@@ -668,10 +681,7 @@ def compute_sep(
     for c in range(a, -1, -1):
         try:
             out = decide_choosable(
-                g, a, b, c,
-                free=free,
-                budget=None if budget is None else budget - spent,
-                connected_only=connected_only,
+                g, a, b, c, free=free, budget=None if budget is None else budget - spent
             )
         except BudgetExceeded as e:
             raise BudgetExceeded(spent + e.nodes_explored) from None

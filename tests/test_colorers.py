@@ -1,5 +1,4 @@
 import json
-import math
 import random
 from pathlib import Path
 
@@ -7,6 +6,7 @@ import pytest
 
 from sepchoose import (
     ColoringPlan,
+    Graph,
     ListAssignment,
     block_decomposition,
     build_cycle,
@@ -17,7 +17,6 @@ from sepchoose import (
     fsep_cactus,
     fsep_outerplanar_bounds,
     gen_path_family,
-    girth,
     glue_path_to_cycle,
     graph_from_json_dict,
     greedy_cycle,
@@ -180,7 +179,7 @@ def test_cactus_free_color_random():
     done = 0
     while done < 40:
         g = random_cactus(rng, rng.randint(4, 10))
-        if girth(g) == math.inf:
+        if not any(len(blk) > 1 for blk in block_decomposition(g)):
             continue
         c = fsep_cactus(g, a, b).value
         pin = rng.randrange(g.n)
@@ -224,7 +223,7 @@ def test_outerplanar_color_multi_block():
     c = fsep_outerplanar_bounds(5, a, b)[0].value
     for _ in range(25):
         g = glued_snakes(rng, rng.choice([5, 6]), bridges=rng.randint(1, 2))
-        blocks = block_decomposition(g).blocks
+        blocks = block_decomposition(g)
         assert sum(len(blk) > 1 for blk in blocks) == 2
         assert any(len(blk) == 1 for blk in blocks)
         pin = rng.randrange(g.n)
@@ -242,6 +241,20 @@ def test_outerplanar_color_requires_faces():
         graph=build_cycle(4), lists=(F({1}), F({1, 2}), F({2, 3}), F({3, 4})), a=2, precolored=0
     )
     with pytest.raises(ValueError, match="inner faces"):
+        outerplanar_color(L, 1)
+
+
+def test_outerplanar_color_rejects_face_cycles():
+    # three faces around a vertex of K4, each sharing an edge with the other
+    # two: the third face finds its inner vertex already colored
+    g = Graph(
+        n=4,
+        edges=F({(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (1, 3)}),
+        faces=((0, 1, 2), (0, 2, 3), (0, 1, 3)),
+    )
+    lists = (F({0}), F({1, 2, 3}), F({4, 5, 6}), F({7, 8, 9}))
+    L = ListAssignment(graph=g, lists=lists, a=3, precolored=0)
+    with pytest.raises(ValueError, match="do not form a tree"):
         outerplanar_color(L, 1)
 
 

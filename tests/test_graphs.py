@@ -1,5 +1,4 @@
 import json
-import math
 
 import pytest
 
@@ -9,12 +8,9 @@ from sepchoose import (
     build_cycle,
     build_flower,
     build_path,
-    girth,
     graph_from_json_dict,
     identify_vertices,
     is_cactus,
-    shortest_cycle_above_3,
-    weak_dual,
 )
 
 
@@ -46,7 +42,7 @@ def test_build_path_annotations():
     g = build_path(4)
     assert g.path_order == (0, 1, 2, 3)
     assert len(g.edges) == 3
-    assert girth(g) == math.inf
+    assert all(len(blk) == 1 for blk in block_decomposition(g))
 
 
 def test_build_flower_layout():
@@ -58,13 +54,6 @@ def test_build_flower_layout():
     assert is_cactus(g)
 
 
-def test_girth_basics():
-    assert girth(build_cycle(3)) == 3
-    assert girth(build_cycle(7)) == 7
-    square_with_chord = Graph(n=4, edges=frozenset({(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)}))
-    assert girth(square_with_chord) == 3
-
-
 def test_is_cactus():
     assert is_cactus(build_cycle(6))
     assert is_cactus(build_path(5))
@@ -72,19 +61,9 @@ def test_is_cactus():
     assert not is_cactus(k4)
 
 
-def test_shortest_cycle_above_3():
-    g = identify_vertices(build_cycle(3), 0, build_cycle(5), 0)
-    assert girth(g) == 3
-    assert shortest_cycle_above_3(g) == 5
-    assert shortest_cycle_above_3(build_cycle(3)) is None
-
-
 def test_block_decomposition_triangle_with_tail():
     g = Graph(n=4, edges=frozenset({(0, 1), (1, 2), (0, 2), (2, 3)}))
-    bt = block_decomposition(g)
-    sizes = sorted(len(blk) for blk in bt.blocks)
-    assert sizes == [1, 3]
-    assert bt.cut_vertices == frozenset({2})
+    assert block_decomposition(g) == (frozenset({(0, 1), (0, 2), (1, 2)}), frozenset({(2, 3)}))
 
 
 def test_block_decomposition_requires_connected():
@@ -99,30 +78,6 @@ def test_identify_vertices_renumbers():
     assert len(g.edges) == 8
     deg = sorted(len(g.adj[v]) for v in range(7))
     assert deg == [2, 2, 2, 2, 2, 2, 4]
-
-
-def test_weak_dual_of_fan():
-    faces = ((0, 1, 2), (0, 2, 3), (0, 3, 4))
-    g = Graph(
-        n=5,
-        edges=frozenset({(0, 1), (1, 2), (0, 2), (2, 3), (0, 3), (3, 4), (0, 4)}),
-        faces=faces,
-    )
-    dual = weak_dual(g)
-    assert dual.n == 3
-    assert sorted(dual.edges) == [(0, 1), (1, 2)]
-
-
-def test_weak_dual_rejects_face_cycles():
-    # three mutually edge-adjacent faces around a vertex: dual is a triangle
-    faces = ((0, 1, 2), (0, 2, 3), (0, 1, 3))
-    g = Graph(
-        n=4,
-        edges=frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (1, 3)}),
-        faces=faces,
-    )
-    with pytest.raises(ValueError):
-        weak_dual(g)
 
 
 def test_json_round_trip():

@@ -13,9 +13,7 @@ from sepchoose import (
     block_decomposition,
     fsep_cactus,
     fsep_cycle,
-    girth,
     is_cactus,
-    shortest_cycle_above_3,
 )
 from helpers import glued_snakes, random_cactus, snake
 
@@ -37,11 +35,10 @@ def random_connected(rng, n, extra):
     return Graph(n=n, edges=frozenset(edges))
 
 
-def sample_graphs(seed, small=False):
+def sample_graphs(seed):
     rng = random.Random(seed)
-    graphs = [random_cactus(rng, rng.randint(1, 9 if small else 16)) for _ in range(60)]
-    graphs += [snake(rng, rng.randint(1, 2 if small else 4), rng.choice([3, 4, 5]))
-               for _ in range(30)]
+    graphs = [random_cactus(rng, rng.randint(1, 16)) for _ in range(60)]
+    graphs += [snake(rng, rng.randint(1, 4), rng.choice([3, 4, 5])) for _ in range(30)]
     for _ in range(60):
         n = rng.randint(1, 8)
         graphs.append(random_connected(rng, n, rng.randint(0, n)))
@@ -55,11 +52,10 @@ def cycle_lengths(g: Graph) -> set[int]:
 def test_block_decomposition_matches_networkx():
     for g in sample_graphs(101):
         G = to_nx(g)
-        bt = block_decomposition(g)
+        blocks = block_decomposition(g)
         want = {frozenset((min(e), max(e)) for e in comp)
                 for comp in nx.biconnected_component_edges(G)}
-        assert set(bt.blocks) == want and len(bt.blocks) == len(want)
-        assert bt.cut_vertices == frozenset(nx.articulation_points(G))
+        assert set(blocks) == want and len(blocks) == len(want)
 
 
 def test_is_cactus_matches_networkx():
@@ -69,17 +65,6 @@ def test_is_cactus_matches_networkx():
         want = all(len(comp) == 1 or len(comp) == len({v for e in comp for v in e})
                    for comp in nx.biconnected_component_edges(G))
         assert is_cactus(g) == want
-
-
-def test_girth_matches_networkx():
-    for g in sample_graphs(103):
-        assert girth(g) == nx.girth(to_nx(g))
-
-
-def test_shortest_cycle_above_3_matches_networkx():
-    for g in sample_graphs(104, small=True):
-        longer = [l for l in cycle_lengths(g) if l >= 4]
-        assert shortest_cycle_above_3(g) == (min(longer) if longer else None)
 
 
 def is_outerplanar(g: Graph) -> bool:

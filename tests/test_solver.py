@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, seed, settings
@@ -293,13 +294,35 @@ def test_decide_counterexample_reverifies():
 
 
 def test_connected_only_matches_full_enumeration():
-    # the split-by-component reduction must not change any verdict
+    # the split-by-component reduction must not change any verdict: brute
+    # force over the full stream, disconnected traces included, agrees
     for g, a, b in [(build_cycle(3), 3, 1), (build_cycle(4), 2, 1), (build_cycle(3), 4, 2)]:
         for c in range(a + 1):
             for free in (False, True):
-                full = decide_choosable(g, a, b, c, free=free, connected_only=False).colorable
-                fast = decide_choosable(g, a, b, c, free=free, connected_only=True).colorable
-                assert full == fast, (g.n, a, b, c, free)
+                full = all(
+                    brute_force_colorable(realize(t, g, a, precolored=r), b)
+                    for r in (range(g.n) if free else [None])
+                    for t in enumerate_canonical(g, a, b, c, precolored=r, connected_only=False)
+                )
+                assert decide_choosable(g, a, b, c, free=free).colorable == full, (g.n, a, b, c, free)
+
+
+def test_deep_search_leaves_recursion_limit_alone(monkeypatch):
+    # numbered across its rungs, a ladder keeps a degree-3 vertex in the
+    # uncolored rest until its last rung, so the generic search goes one
+    # level per vertex, deeper than the default recursion limit
+    n = 600
+    edges = [(v, v + 1) for v in range(0, n, 2)] + [(v, v + 2) for v in range(n - 2)]
+    L = ListAssignment(graph=_graph(n, edges), lists=(F({0, 1, 2}),) * n, a=3)
+    limit = sys.getrecursionlimit()
+
+    def refuse(_):
+        raise AssertionError("the search changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    out = color_with_lists(L, 1)
+    assert out.colorable and is_valid_coloring(L, out.witness, 1)
+    assert sys.getrecursionlimit() == limit
 
 
 def _first_uncolorable(g, a, b, c, free):
