@@ -45,7 +45,7 @@ from .formulas import (
     fsep_outerplanar_bounds,
     sep_cycle,
 )
-from .graphs import graph_from_json_dict
+from .graphs import build_cycle, graph_from_json_dict
 from .lists import assignment_from_json_dict
 from .solver import BudgetExceeded, compute_sep, decide_choosable
 
@@ -95,19 +95,14 @@ class SystemExit2(Exception):
     """Usage or regime error; main maps it to exit code 2."""
 
 
+_CYCLE_FORMULAS = {"sep-cycle": sep_cycle, "fsep-cycle": fsep_cycle, "min-c3": fsep_min_with_triangle}
+
+
 def cmd_formula(args) -> int:
     kind = args.kind
-    if kind == "sep-cycle":
+    if kind in _CYCLE_FORMULAS:
         n, a, b = _need(args, ["n", "a", "b"])
-        r = sep_cycle(n, a, b)
-        _emit(f"{r.value} (regime: {r.regime})", args.out)
-    elif kind == "fsep-cycle":
-        n, a, b = _need(args, ["n", "a", "b"])
-        r = fsep_cycle(n, a, b)
-        _emit(f"{r.value} (regime: {r.regime})", args.out)
-    elif kind == "min-c3":
-        n, a, b = _need(args, ["n", "a", "b"])
-        r = fsep_min_with_triangle(n, a, b)
+        r = _CYCLE_FORMULAS[kind](n, a, b)
         _emit(f"{r.value} (regime: {r.regime})", args.out)
     elif kind == "outer-bounds":
         n, a, b = _need(args, ["n", "a", "b"])
@@ -116,13 +111,11 @@ def cmd_formula(args) -> int:
             _emit(f"{lo.value} (regime: {lo.regime}, exact)", args.out)
         else:
             _emit(f"{lo.value}..{hi.value} (regime: {lo.regime}..{hi.regime})", args.out)
-    elif kind == "fsep-cactus":
+    else:
         (path,) = _need(args, ["graph"])
         a, b = _need(args, ["a", "b"])
         r = fsep_cactus(_load_graph(path), a, b)
         _emit(f"{r.value} (regime: {r.regime})", args.out)
-    else:
-        raise SystemExit2(f"unknown formula kind {kind!r}")
     return 0
 
 
@@ -144,14 +137,12 @@ def cmd_solve(args) -> int:
                 payload["precolored"] = {"vertex": out.counterexample.precolored}
             _emit(json.dumps(payload), args.out)
             return 1
-        if args.kind == "sep":
-            val = compute_sep(g, a, b, free=args.free, budget=budget)
-            _emit(str(val), args.out)
-            return 0
+        val = compute_sep(g, a, b, free=args.free, budget=budget)
+        _emit(str(val), args.out)
+        return 0
     except BudgetExceeded as e:
         print(f"unknown: budget exhausted after {e.nodes_explored} nodes", file=sys.stderr)
         return 2
-    raise SystemExit2(f"unknown solve kind {args.kind!r}")
 
 
 _FAMILIES = {
@@ -166,8 +157,6 @@ _FAMILIES = {
 
 def cmd_adversary(args) -> int:
     fam = args.family
-    if fam not in _FAMILIES:
-        raise SystemExit2(f"unknown family {fam!r}; choose from {sorted(_FAMILIES)}")
     names, fn = _FAMILIES[fam]
     vals = _need(args, names)
     if fam == "path":
@@ -197,10 +186,8 @@ def cmd_color(args) -> int:
             phi = cycle_color_precolored(L, b, plan=plan)
         elif args.strategy == "cactus":
             phi = cactus_free_color(L, b, plan=plan)
-        elif args.strategy == "outerplanar":
-            phi = outerplanar_color(L, b, plan=plan)
         else:
-            raise SystemExit2(f"unknown strategy {args.strategy!r}")
+            phi = outerplanar_color(L, b, plan=plan)
     except ValueError as e:
         print(f"coloring failed: {e}", file=sys.stderr)
         return 1
@@ -221,11 +208,8 @@ def cmd_sweep(args) -> int:
                 if b > a:
                     continue
                 rows.append((n, a, b))
-    rows.sort()
     lines = ["n,a,b,formula_sep,oracle_sep,formula_fsep,oracle_fsep,match"]
     verified = mismatches = 0
-    from .graphs import build_cycle
-
     for n, a, b in rows:
         g = build_cycle(n)
         f_sep = sep_cycle(n, a, b).value

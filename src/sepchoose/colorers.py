@@ -3,10 +3,12 @@
 Forward greedy on slack cycles, the pick-and-discard step of a lift that
 trades 2k list colors for k coloring colors, and the bridge step of the
 block walk shared by cactuses and outerplanar graphs are local rules.
-Pinned-path and pinned-cycle completion (the solver directly on a pinned
-triangle), lift_cycle's default base, and so the walk's 2-connected blocks,
-call the exact solver.  A ColoringPlan records each vertex with the colors
-it got, in the order they were fixed, and nothing about the lists read.
+Pinned-path and pinned-cycle completion, and so the faces of the walk's
+2-connected blocks, run the solver's shadow-DP path walk directly on the
+lists of one path: a cycle is cut at its pin into a path whose two ends
+carry the pin's list.  Only lift_cycle's default base calls the exact
+solver.  A ColoringPlan records each vertex with the colors it got, in the
+order they were fixed, and nothing about the lists read.
 
 Free choices are always resolved lexicographically, so every procedure is
 deterministic.
@@ -17,9 +19,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graphs import block_decomposition, build_cycle, build_path
-from .lists import BColoring, ColorSet, ListAssignment, amplitude_violation, amplitude_sigma
-from .solver import color_with_lists, free_color_with_lists
+from .graphs import block_decomposition, build_path
+from .lists import BColoring, ColorSet, ListAssignment, amplitude_sigma, amplitude_violation, assignment_unchecked
+from .solver import _color_path, color_with_lists
 
 __all__ = [
     "ColoringPlan",
@@ -155,19 +157,27 @@ def _exact_base(L: ListAssignment, b: int) -> BColoring:
     return out.witness
 
 
-def path_color_precolored(L: ListAssignment, b: int, plan: ColoringPlan | None = None) -> BColoring:
-    """Color a path whose end lists may be pinned down to b colors.  On
-    failure the error names a vertex span whose color supply cannot cover
-    its demand, which for paths always exists."""
-    g = L.graph
-    if g.path_order is None:
-        raise ValueError("path_color_precolored needs a path")
-    out = color_with_lists(L, b)
-    if out.colorable:
-        if plan is not None:
-            for v in g.path_order:
-                plan.record(v, out.witness[v])
-        return out.witness
+def _pin(L: ListAssignment, b: int) -> int:
+    """The pinned vertex, whose whole list is its color set."""
+    r = L.precolored
+    if r is None:
+        raise ValueError("no pinned vertex")
+    if len(L.lists[r]) != b:
+        raise ValueError("precolored vertex must carry exactly b colors")
+    return r
+
+
+def _complete_path(lists, ranks, b: int, a: int, failure: str | None = None) -> BColoring:
+    """Color a path given its lists in path order, positions in increasing
+    rank.  Unless the caller names the failure, an uncolorable path is
+    explained by a vertex span whose color supply cannot cover its demand,
+    which for paths always exists; only then is a path assignment built."""
+    psi = _color_path(lists, ranks, b)
+    if psi is not None:
+        return psi
+    if failure is not None:
+        raise ValueError(failure)
+    L = assignment_unchecked(build_path(len(lists)), lists, a, None)
     span = amplitude_violation(L, b)
     if span is None:
         raise AssertionError("uncolorable path with no deficient span")
@@ -178,32 +188,43 @@ def path_color_precolored(L: ListAssignment, b: int, plan: ColoringPlan | None =
     )
 
 
+def _complete_cycle(lists, b: int, a: int) -> BColoring:
+    """Color a cycle given its lists in cycle order from its pinned vertex, by
+    cutting it at the pin into a path whose two ends carry the pin's list."""
+    failure = "no coloring: the pinned triangle is uncolorable" if len(lists) == 3 else None
+    return _complete_path(lists + [lists[0]], range(len(lists) + 1), b, a, failure)[:-1]
+
+
+def path_color_precolored(L: ListAssignment, b: int, plan: ColoringPlan | None = None) -> BColoring:
+    """Color a path whose end lists may be pinned down to b colors, vertices
+    in increasing number.  On failure the error names a vertex span whose
+    color supply cannot cover its demand."""
+    g = L.graph
+    if g.path_order is None:
+        raise ValueError("path_color_precolored needs a path")
+    if L.precolored is not None:
+        _pin(L, b)
+    order = g.path_order
+    phi = dict(zip(order, _complete_path([L.lists[v] for v in order], order, b, L.a)))
+    if plan is not None:
+        for v in order:
+            plan.record(v, phi[v])
+    return tuple(phi[v] for v in range(g.n))
+
+
 def cycle_color_precolored(L: ListAssignment, b: int, plan: ColoringPlan | None = None) -> BColoring:
     """Color a cycle with one vertex pinned to its whole b-list, by cutting
-    the cycle at the pin and completing the resulting doubly-pinned path.
-    Triangles go to the exact solver; a cut path of two edges says nothing."""
+    the cycle at the pin and completing the resulting doubly-pinned path,
+    along the cycle order from the pin.  On a triangle the cut r-x-y-r' is
+    exactly the pinned triangle."""
     g = L.graph
     if g.cycle_order is None:
         raise ValueError("cycle_color_precolored needs a cycle")
-    r = L.precolored
-    if r is None:
-        raise ValueError("no pinned vertex")
-    if g.n == 3:
-        out = free_color_with_lists(L, b)
-        if not out.colorable:
-            raise ValueError("no coloring: the pinned triangle is uncolorable")
-        if plan is not None:
-            for v in range(3):
-                plan.record(v, out.witness[v])
-        return out.witness
+    r = _pin(L, b)
     order = g.cycle_order
     idx = order.index(r)
     seq = order[idx:] + order[:idx]
-    lists = [L.lists[v] for v in seq] + [L.lists[r]]
-    pg = build_path(g.n + 1)
-    pL = ListAssignment(graph=pg, lists=tuple(lists), a=L.a)
-    psi = path_color_precolored(pL, b)
-    phi = {v: psi[i] for i, v in enumerate(seq)}
+    phi = dict(zip(seq, _complete_cycle([L.lists[v] for v in seq], b, L.a)))
     if plan is not None:
         for v in seq:
             plan.record(v, phi[v])
@@ -254,9 +275,7 @@ def _walk_blocks(L: ListAssignment, b: int, plan: ColoringPlan | None, block_fac
     the entry, and every further face a path pinned at the least edge it
     shares with a face already colored."""
     g = L.graph
-    r = L.precolored
-    if r is None:
-        raise ValueError("no pinned vertex")
+    r = _pin(L, b)
     if plan is not None:
         plan.record(r, L.lists[r])
     phi: dict[int, frozenset[int]] = {r: frozenset(L.lists[r])}
@@ -311,9 +330,7 @@ def _color_faces(L: ListAssignment, b: int, faces, vset, entry: int, phi, give) 
     f0 = faces[root]
     idx = f0.index(entry)
     walk = f0[idx:] + f0[:idx]
-    lists = [phi[entry]] + [L.lists[w] for w in walk[1:]]
-    subL = ListAssignment(graph=build_cycle(len(walk)), lists=tuple(lists), a=L.a, precolored=0)
-    psi = cycle_color_precolored(subL, b)
+    psi = _complete_cycle([phi[entry]] + [L.lists[w] for w in walk[1:]], b, L.a)
     for i, w in enumerate(walk[1:], start=1):
         give(w, psi[i])
     ecache = [_face_edges(f) for f in faces]
@@ -331,8 +348,7 @@ def _color_faces(L: ListAssignment, b: int, faces, vset, entry: int, phi, give) 
             if any(x in phi for x in seq[1:-1]):
                 raise ValueError("inner faces do not form a tree")
             lists = [phi[u]] + [L.lists[x] for x in seq[1:-1]] + [phi[w]]
-            pL = ListAssignment(graph=build_path(len(seq)), lists=tuple(lists), a=L.a)
-            psi = path_color_precolored(pL, b)
+            psi = _complete_path(lists, range(len(seq)), b, L.a)
             for i, x in enumerate(seq[1:-1], start=1):
                 give(x, psi[i])
             seen.add(fj)

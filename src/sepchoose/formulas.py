@@ -24,7 +24,6 @@ __all__ = [
     "fsep_monotone_check",
     "fsep_cactus",
     "fsep_outerplanar_bounds",
-    "sep_lower_bound",
 ]
 
 
@@ -176,9 +175,3 @@ def fsep_outerplanar_bounds(g: int, a: int, b: int) -> tuple[FormulaResult, Form
         FormulaResult(lo.value, lo.regime, exact),
         FormulaResult(hi.value, hi.regime, exact),
     )
-
-
-def sep_lower_bound(a: int, b: int) -> int:
-    """Greedy bound: every cycle is (a,b,a-b)-choosable."""
-    _check(a, b)
-    return a - b

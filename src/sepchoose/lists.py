@@ -272,15 +272,6 @@ class TraceMultiset:
         if list(self.entries) != sorted(self.entries):
             raise ValueError("entries must be sorted")
 
-    def vertex_mass(self, v: int) -> int:
-        return sum(cnt for trace, cnt in self.entries if v in trace)
-
-    def edge_mass(self, u: int, v: int) -> int:
-        return sum(cnt for trace, cnt in self.entries if u in trace and v in trace)
-
-    def n_colors(self) -> int:
-        return sum(cnt for _, cnt in self.entries)
-
 
 def canonicalize(L: ListAssignment) -> TraceMultiset:
     traces: dict[tuple[int, ...], int] = {}

@@ -55,7 +55,6 @@ __all__ = [
     "BudgetExceeded",
     "SolveOutcome",
     "color_with_lists",
-    "free_color_with_lists",
     "enumerate_canonical",
     "decide_choosable",
     "compute_sep",
@@ -427,20 +426,24 @@ def color_with_lists(L: ListAssignment, b: int, budget: int | None = None) -> So
     ok, nodes, phimask = _solve_masks(L.graph.adj, masks, b, budget, True, _annotated_shape(L.graph))
     if not ok:
         return SolveOutcome(colorable=False, nodes_explored=nodes)
-    witness = tuple(
-        frozenset(universe[i] for i in range(phimask[v].bit_length()) if (phimask[v] >> i) & 1)
-        for v in range(len(masks))
-    )
+    witness = _masks_to_sets(universe, [phimask[v] for v in range(len(masks))])
     return SolveOutcome(colorable=True, witness=witness, nodes_explored=nodes)
 
 
-def free_color_with_lists(L: ListAssignment, b: int, budget: int | None = None) -> SolveOutcome:
-    """Same decision with one vertex precolored; |L(r)| = b makes phi(r) forced."""
-    if L.precolored is None:
-        raise ValueError("assignment has no precolored vertex")
-    if len(L.lists[L.precolored]) != b:
-        raise ValueError("precolored vertex must carry exactly b colors")
-    return color_with_lists(L, b, budget=budget)
+def _masks_to_sets(universe, masks) -> BColoring:
+    return tuple(frozenset(universe[i] for i in range(m.bit_length()) if (m >> i) & 1) for m in masks)
+
+
+def _color_path(lists, ranks, b: int) -> BColoring | None:
+    """The path witness walk on lists given in path order, without a graph:
+    positions are colored in increasing rank, each with its lex-least
+    b-subset that leaves the rest colorable.  None when the path has no
+    coloring."""
+    if b < 1:
+        raise ValueError("b must be positive")
+    universe, masks = _lists_to_masks(lists)
+    chosen = _path_witness(masks, ranks, b, lambda: None)
+    return None if chosen is None else _masks_to_sets(universe, chosen)
 
 
 def _connected_subset(g: Graph, sub) -> bool:

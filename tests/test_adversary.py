@@ -10,7 +10,6 @@ from sepchoose import (
     claimed_sigma,
     color_with_lists,
     fig1_fixture,
-    free_color_with_lists,
     gen_c3_family,
     gen_flower,
     gen_path_family,
@@ -151,7 +150,7 @@ def test_glue_path_to_cycle():
     assert glued.family == "path-case1+glued"
     assert glued.c == 4
     check(glued)
-    assert not free_color_with_lists(glued.assignment, 4).colorable
+    assert not color_with_lists(glued.assignment, 4).colorable
 
 
 def test_glue_requires_equal_ends():

@@ -266,6 +266,15 @@ def test_color_failure_is_exit_one(capsys, tmp_path):
     assert err.startswith("coloring failed:")
 
 
+def test_color_cycle_rejects_pin_without_b_colors(capsys, tmp_path):
+    gpath = write_json(tmp_path / "g.json", build_cycle(4).to_json_dict())
+    lists = {"lists": [[1, 2], [2, 3], [3, 4], [4, 1]], "precolored": {"vertex": 0}}
+    lpath = write_json(tmp_path / "l.json", lists)
+    rc, out, err = run(capsys, "color", "cycle", "--graph", gpath, "--lists", lpath, "--b", "1")
+    assert (rc, out) == (1, "")
+    assert err.startswith("coloring failed: precolored vertex must carry exactly b colors")
+
+
 def test_color_lift(capsys, tmp_path):
     gpath = write_json(tmp_path / "g.json", build_cycle(3).to_json_dict())
     lists = [[0, 1, 2, 3, 4], [1, 2, 3, 4, 5], [2, 3, 4, 5, 6]]

@@ -132,6 +132,12 @@ def test_path_color_pinned_ends():
     assert [v for v, _ in plan.steps] == [0, 1, 2, 3]
 
 
+def test_path_color_rejects_pin_without_b_colors():
+    L = ListAssignment(graph=build_path(3), lists=(F({1}), F({1, 2}), F({2, 3})), a=2, precolored=1)
+    with pytest.raises(ValueError, match="precolored vertex must carry exactly b colors"):
+        path_color_precolored(L, 1)
+
+
 def test_path_color_failure_names_deficient_span():
     g = build_path(3)
     L = ListAssignment(graph=g, lists=(F({1}), F({1, 2}), F({2})), a=2)
@@ -152,7 +158,14 @@ def test_cycle_color_random_pinned_instances():
             assert phi[L.precolored] == L.lists[L.precolored]
 
 
-def test_cycle_color_triangle_goes_to_solver():
+def test_cycle_color_rejects_pin_without_b_colors():
+    lists = (F({1, 2}), F({2, 3}), F({3, 4}), F({4, 1}))
+    L = ListAssignment(graph=build_cycle(4), lists=lists, a=2, precolored=0)
+    with pytest.raises(ValueError, match="precolored vertex must carry exactly b colors"):
+        cycle_color_precolored(L, 1)
+
+
+def test_cycle_color_pinned_triangle():
     L = ListAssignment(
         graph=build_cycle(3), lists=(F({1}), F({2, 3}), F({3, 4})), a=2, precolored=0
     )
@@ -163,6 +176,12 @@ def test_cycle_color_triangle_goes_to_solver():
     )
     with pytest.raises(ValueError, match="pinned triangle"):
         cycle_color_precolored(bad, 1)
+    # the cut runs along the cycle order from the pin, so 2 is colored before 1
+    g = Graph(n=3, edges=build_cycle(3).edges, cycle_order=(0, 2, 1))
+    L = ListAssignment(graph=g, lists=(F({1}), F({2, 3}), F({2, 3})), a=2, precolored=0)
+    plan = ColoringPlan("cycle")
+    assert cycle_color_precolored(L, 1, plan) == (F({1}), F({3}), F({2}))
+    assert [v for v, _ in plan.steps] == [0, 2, 1]
 
 
 def test_cycle_color_rejects_above_threshold():
@@ -172,6 +191,15 @@ def test_cycle_color_rejects_above_threshold():
 
 
 # --- cactuses ----------------------------------------------------------------
+
+def test_cactus_free_color_rejects_pin_without_b_colors():
+    # the pin's first block is a C4; a bridge hangs off vertex 2
+    g = Graph(n=5, edges=frozenset({(0, 1), (1, 2), (2, 3), (0, 3), (2, 4)}))
+    lists = (F({1, 2}), F({2, 3}), F({3, 4}), F({4, 1}), F({5, 6}))
+    L = ListAssignment(graph=g, lists=lists, a=2, precolored=0)
+    with pytest.raises(ValueError, match="precolored vertex must carry exactly b colors"):
+        cactus_free_color(L, 1)
+
 
 def test_cactus_free_color_random():
     rng = random.Random(31)
@@ -264,9 +292,16 @@ def test_outerplanar_color_rejects_face_cycles():
 # outerplanar instances: validity tests alone would not see a changed
 # choice.  One outerplanar instance is a single snake pinned on an edge that
 # two faces share; the others are two snakes glued at a vertex plus a
-# pendant bridge.
+# pendant bridge.  The pinned path and cycle cases that follow run on
+# shuffled order annotations (cycles pinned away from vertex 0), one
+# uncolorable case each.
 GOLDEN = json.loads(Path(__file__).with_name("colorer_golden.json").read_text())
-PROCS = {"cactus_free_color": cactus_free_color, "outerplanar_color": outerplanar_color}
+PROCS = {
+    "cactus_free_color": cactus_free_color,
+    "outerplanar_color": outerplanar_color,
+    "path_color_precolored": path_color_precolored,
+    "cycle_color_precolored": cycle_color_precolored,
+}
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[f"{i}-{d['proc']}" for i, d in enumerate(GOLDEN)])

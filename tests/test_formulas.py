@@ -15,7 +15,6 @@ from sepchoose import (
     fsep_outerplanar_bounds,
     identify_vertices,
     sep_cycle,
-    sep_lower_bound,
 )
 
 
@@ -50,9 +49,8 @@ def test_sep_cycle_matches_search():
 def test_sep_lower_bound_is_always_choosable():
     for n in (3, 4, 5, 6):
         for a, b in [(3, 1), (5, 2), (4, 3)]:
-            c = sep_lower_bound(a, b)
-            assert c == a - b
-            assert sep_cycle(n, a, b).value >= c
+            # greedy bound: every cycle is (a, b, a - b)-choosable
+            assert sep_cycle(n, a, b).value >= a - b
 
 
 # --- cycles: free separation --------------------------------------------------
@@ -186,5 +184,3 @@ def test_parameter_validation():
         fsep_outerplanar_bounds(4, 3, 1)
     with pytest.raises(ValueError):
         fsep_min_with_triangle(3, 3, 1)
-    with pytest.raises(ValueError):
-        sep_lower_bound(1, 2)
