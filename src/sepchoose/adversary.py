@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .formulas import c_threshold, fsep_cycle
 from .graphs import Graph, build_cycle, build_flower, build_path, graph_from_json_dict, identify_vertices
 from .lists import ColorSet, ListAssignment, assignment_unchecked, separation
-from .solver import _annotated_shape, _lists_to_masks, _solve_masks
+from .solver import decide_with_lists
 
 __all__ = [
     "Certificate",
@@ -304,10 +304,8 @@ def gen_flower(p: int, a: int, b: int) -> Certificate:
         raise ValueError(f"pinned-cycle value equals a at (p={p}, a={a}, b={b}); no counterexample exists")
     if p == 3:
         inner = gen_c3_family(a, b, _pick_c3_variant(a, b))
-        inner_order = (0, 1, 2)
     else:
         inner = glue_path_to_cycle(gen_path_family(p, a, b, _pick_path_variant(p, a, b), "equal"))
-        inner_order = tuple(range(p))
     if inner.c != c:
         raise AssertionError("copy threshold disagrees with the pinned-cycle value")
 
@@ -324,7 +322,7 @@ def gen_flower(p: int, a: int, b: int) -> Certificate:
 
         for j in range(1, p):
             v = 1 + i * (p - 1) + (j - 1)
-            lists[v] = frozenset(remap(x) for x in inner_lists[inner_order[j]])
+            lists[v] = frozenset(remap(x) for x in inner_lists[j])
     L = ListAssignment(graph=g, lists=tuple(lists), a=a)
     return Certificate(graph=g, a=a, b=b, c=c, assignment=L, claim="uncolorable", family="flower")
 
@@ -383,10 +381,7 @@ def verify_certificate(cert: Certificate, budget: int | None = None) -> tuple[bo
     s = separation(L)
     if s > cert.c:
         return False, f"separation {s} exceeds claimed c={cert.c}"
-    colorable, _, _ = _solve_masks(
-        L.graph.adj, _lists_to_masks(L.lists)[1], cert.b, budget, False, _annotated_shape(L.graph)
-    )
-    verdict = "colorable" if colorable else "uncolorable"
+    verdict = "colorable" if decide_with_lists(L, cert.b, budget).colorable else "uncolorable"
     if verdict != cert.claim:
         return False, f"solver says {verdict}, certificate claims {cert.claim}"
     return True, "ok"

@@ -19,8 +19,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graphs import block_decomposition, build_path
-from .lists import BColoring, ColorSet, ListAssignment, amplitude_sigma, amplitude_violation, assignment_unchecked
+from .graphs import block_decomposition
+from .lists import BColoring, ColorSet, ListAssignment, _path_deficit
 from .solver import _color_path, color_with_lists
 
 __all__ = [
@@ -167,32 +167,30 @@ def _pin(L: ListAssignment, b: int) -> int:
     return r
 
 
-def _complete_path(lists, ranks, b: int, a: int, failure: str | None = None) -> BColoring:
+def _complete_path(lists, ranks, b: int, failure: str | None = None) -> BColoring:
     """Color a path given its lists in path order, positions in increasing
     rank.  Unless the caller names the failure, an uncolorable path is
     explained by a vertex span whose color supply cannot cover its demand,
-    which for paths always exists; only then is a path assignment built."""
+    which for paths always exists."""
     psi = _color_path(lists, ranks, b)
     if psi is not None:
         return psi
     if failure is not None:
         raise ValueError(failure)
-    L = assignment_unchecked(build_path(len(lists)), lists, a, None)
-    span = amplitude_violation(L, b)
+    span = _path_deficit(lists, b)
     if span is None:
         raise AssertionError("uncolorable path with no deficient span")
-    i, j = span
-    have = amplitude_sigma(L, i, j)
+    i, j, have = span
     raise ValueError(
         f"no coloring: positions {i}..{j} of the path supply {have} colors, need {b * (j - i + 1)}"
     )
 
 
-def _complete_cycle(lists, b: int, a: int) -> BColoring:
+def _complete_cycle(lists, b: int) -> BColoring:
     """Color a cycle given its lists in cycle order from its pinned vertex, by
     cutting it at the pin into a path whose two ends carry the pin's list."""
     failure = "no coloring: the pinned triangle is uncolorable" if len(lists) == 3 else None
-    return _complete_path(lists + [lists[0]], range(len(lists) + 1), b, a, failure)[:-1]
+    return _complete_path(lists + [lists[0]], range(len(lists) + 1), b, failure)[:-1]
 
 
 def path_color_precolored(L: ListAssignment, b: int, plan: ColoringPlan | None = None) -> BColoring:
@@ -205,7 +203,7 @@ def path_color_precolored(L: ListAssignment, b: int, plan: ColoringPlan | None =
     if L.precolored is not None:
         _pin(L, b)
     order = g.path_order
-    phi = dict(zip(order, _complete_path([L.lists[v] for v in order], order, b, L.a)))
+    phi = dict(zip(order, _complete_path([L.lists[v] for v in order], order, b)))
     if plan is not None:
         for v in order:
             plan.record(v, phi[v])
@@ -224,7 +222,7 @@ def cycle_color_precolored(L: ListAssignment, b: int, plan: ColoringPlan | None 
     order = g.cycle_order
     idx = order.index(r)
     seq = order[idx:] + order[:idx]
-    phi = dict(zip(seq, _complete_cycle([L.lists[v] for v in seq], b, L.a)))
+    phi = dict(zip(seq, _complete_cycle([L.lists[v] for v in seq], b)))
     if plan is not None:
         for v in seq:
             plan.record(v, phi[v])
@@ -314,8 +312,6 @@ def _walk_blocks(L: ListAssignment, b: int, plan: ColoringPlan | None, block_fac
             _color_faces(L, b, block_faces(vset, edges, entry), vset, entry, phi, give)
         for v in vset:
             queue.extend(bj for bj in by_vertex[v] if bj not in done)
-    if len(phi) != g.n:
-        raise ValueError("graph is not connected")
     return tuple(phi[v] for v in range(g.n))
 
 
@@ -330,7 +326,7 @@ def _color_faces(L: ListAssignment, b: int, faces, vset, entry: int, phi, give) 
     f0 = faces[root]
     idx = f0.index(entry)
     walk = f0[idx:] + f0[:idx]
-    psi = _complete_cycle([phi[entry]] + [L.lists[w] for w in walk[1:]], b, L.a)
+    psi = _complete_cycle([phi[entry]] + [L.lists[w] for w in walk[1:]], b)
     for i, w in enumerate(walk[1:], start=1):
         give(w, psi[i])
     ecache = [_face_edges(f) for f in faces]
@@ -348,7 +344,7 @@ def _color_faces(L: ListAssignment, b: int, faces, vset, entry: int, phi, give) 
             if any(x in phi for x in seq[1:-1]):
                 raise ValueError("inner faces do not form a tree")
             lists = [phi[u]] + [L.lists[x] for x in seq[1:-1]] + [phi[w]]
-            psi = _complete_path(lists, range(len(seq)), b, L.a)
+            psi = _complete_path(lists, range(len(seq)), b)
             for i, x in enumerate(seq[1:-1], start=1):
                 give(x, psi[i])
             seen.add(fj)

@@ -215,13 +215,8 @@ def _cycle_block_lengths(g: Graph) -> list[int] | None:
         if len(b) == 1:
             continue
         verts = set(itertools.chain.from_iterable(b))
+        # a 2-connected block with as many edges as vertices is a cycle
         if len(b) != len(verts):
-            return None
-        deg = {v: 0 for v in verts}
-        for u, v in b:
-            deg[u] += 1
-            deg[v] += 1
-        if any(d != 2 for d in deg.values()):
             return None
         lengths.append(len(b))
     return sorted(lengths)

@@ -199,40 +199,49 @@ def amplitude_sigma(L: ListAssignment, i: int, j: int) -> int:
     return total
 
 
+def _path_deficit(lists, b: int):
+    """First span (i, j) of a path given its lists in path order, 1-based,
+    with sigma < b*(j-i+1), as (i, j, sigma); None when there is none.
+
+    One sweep per start x_i.  Extending the span to x_j grows the run of
+    each color c of L(x_j) inside the span to min(run_j(c), span), where
+    run_j(c) counts the consecutive vertices listing c that end at x_j;
+    that adds 1 to the run's ceil(run / 2) exactly when the new length is
+    odd.  Spans at least as long as x_j's longest run all add the number of
+    odd runs.
+    """
+    runs, prev = [], {}
+    for lst in lists:
+        cur = {c: prev.get(c, 0) + 1 for c in lst}
+        lens = tuple(cur.values())
+        runs.append((max(lens), sum(r & 1 for r in lens), lens))
+        prev = cur
+    n = len(lists)
+    for i in range(n):
+        sigma = 0
+        for j in range(i, n):
+            span = j - i + 1
+            longest, odd, lens = runs[j]
+            if span >= longest:
+                sigma += odd
+            else:
+                sigma += sum((r if r < span else span) & 1 for r in lens)
+            if sigma < b * span:
+                return (i + 1, j + 1, sigma)
+    return None
+
+
 def amplitude_violation(L: ListAssignment, b: int):
     """First span (i, j) with sigma < b*(j-i+1), or None.
 
-    Paths check every consecutive span; complete graphs check every vertex
-    subset (their induced subgraphs are complete again), reported as a
-    sorted tuple.
+    Paths check every consecutive span (_path_deficit); complete graphs
+    check every vertex subset (their induced subgraphs are complete again),
+    reported as a sorted tuple.
     """
     g = L.graph
     if g.path_order is not None:
-        # One sweep per start x_i.  Extending the span to x_j grows the run
-        # of each color c of L(x_j) inside the span to min(run_j(c), span),
-        # where run_j(c) counts the consecutive vertices listing c that end
-        # at x_j; that adds 1 to the run's ceil(run / 2) exactly when the
-        # new length is odd.  Spans at least as long as x_j's longest run
-        # all add the number of odd runs.
-        runs, prev = [], {}
-        for v in g.path_order:
-            cur = {c: prev.get(c, 0) + 1 for c in L.lists[v]}
-            lens = tuple(cur.values())
-            runs.append((max(lens), sum(r & 1 for r in lens), lens))
-            prev = cur
-        n = g.n
-        for i in range(n):
-            sigma = 0
-            for j in range(i, n):
-                span = j - i + 1
-                longest, odd, lens = runs[j]
-                if span >= longest:
-                    sigma += odd
-                else:
-                    sigma += sum((r if r < span else span) & 1 for r in lens)
-                if sigma < b * span:
-                    return (i + 1, j + 1)
-        return None
+        span = _path_deficit([L.lists[v] for v in g.path_order], b)
+        return None if span is None else span[:2]
     if _is_complete(g):
         for r in range(1, g.n + 1):
             for sub in itertools.combinations(range(g.n), r):

@@ -6,8 +6,12 @@ sends path and cycle components to a shadow DP (after choosing phi at
 position i, later positions only see phi(i) & L(i+1), and only the
 inclusion-minimal shadows matter).  Its memo is keyed by (component,
 effective masks): a component's subproblem is fixed by its lists minus the
-colors of its colored neighbours.  Decision mode returns only the verdict;
-it trusts a kernel's "yes" and memoizes successes as well as failures.
+colors of its colored neighbours.  A graph's path or cycle annotation is
+read in one place, _line: a graph annotated as one path or cycle goes
+straight to its kernel before any search machinery is built, and
+decide_choosable calls the kernel itself on each instance of such a graph.
+Decision mode, behind decide_with_lists, returns only the verdict; it
+trusts a kernel's "yes" and memoizes successes as well as failures.
 Witness mode, behind color_with_lists, builds the lex-least coloring and
 memoizes failures only.  It colors a path component without backtracking:
 one DP sweep from each end gives, at every position, the minimal shadows
@@ -55,6 +59,7 @@ __all__ = [
     "BudgetExceeded",
     "SolveOutcome",
     "color_with_lists",
+    "decide_with_lists",
     "enumerate_canonical",
     "decide_choosable",
     "compute_sep",
@@ -121,15 +126,8 @@ def _advance(states, mask_i: int, next_mask: int, b: int):
 
 
 def _path_colorable(masks, b: int) -> bool:
-    n = len(masks)
-    if all((masks[i] & ~masks[i + 1]).bit_count() >= b for i in range(n - 1)):
-        if masks[-1].bit_count() >= b:
-            return True
-    if all((masks[i] & ~masks[i - 1]).bit_count() >= b for i in range(1, n)):
-        if masks[0].bit_count() >= b:
-            return True
     states = (0,)
-    for i in range(n - 1):
+    for i in range(len(masks) - 1):
         states = _advance(states, masks[i], masks[i + 1], b)
         if not states:
             return False
@@ -138,13 +136,7 @@ def _path_colorable(masks, b: int) -> bool:
 
 def _cycle_colorable(masks, b: int) -> bool:
     n = len(masks)
-    if all((masks[i] & ~masks[(i + 1) % n]).bit_count() >= b for i in range(n)):
-        return True
-    if all((masks[i] & ~masks[i - 1]).bit_count() >= b for i in range(n)):
-        return True
     first = masks[0]
-    if first.bit_count() < b:
-        return False
     seen_pairs = set()
     for m0 in _ksubsets(first, b):
         pair = (m0 & masks[1], m0 & masks[n - 1])
@@ -259,22 +251,45 @@ def _cycle_witness(masks, ranks, b: int, bump):
     return None
 
 
-def _solve_masks(adj, masks, b: int, budget: int | None, want_witness: bool, shape=None):
+def _line(g: Graph, root: int | None = None):
+    """(cyclic, order) of a graph annotated as a cycle or a path, else None.
+    A cycle's order starts at root, or at vertex 0 without one, because
+    _cycle_witness needs the smallest rank at position 0."""
+    if g.cycle_order is not None:
+        k = g.cycle_order.index(0 if root is None else root)
+        return True, g.cycle_order[k:] + g.cycle_order[:k]
+    if g.path_order is not None:
+        return False, g.path_order
+    return None
+
+
+def _on_line(shape, masks, b: int, want_witness: bool, bump):
+    """One node for a path or cycle, shape being its (cyclic, order): the
+    kernel's verdict in decision mode, else the witness walk's coloring as
+    a map from vertices to masks (vertex numbers are the ranks), or None."""
+    bump()
+    cyclic, order = shape
+    line = [masks[v] for v in order]
+    if not want_witness:
+        return (_cycle_colorable if cyclic else _path_colorable)(line, b)
+    chosen = (_cycle_witness if cyclic else _path_witness)(line, order, b, bump)
+    return None if chosen is None else dict(zip(order, chosen))
+
+
+def _solve_masks(g: Graph, masks, b: int, budget: int | None, want_witness: bool):
     """Can every vertex v take b colors of masks[v], adjacent vertices
     disjoint?  Returns (colorable, nodes, phimask); phimask maps vertices to
     their chosen color masks and is None unless want_witness and colorable.
-    shape, when given, is shape_of's answer for the whole graph
-    (_annotated_shape), so a path or cycle graph is not walked again.
+    A graph annotated as a path or cycle (_line) goes straight to its
+    kernel, without the split, the memo or the search stack.
 
     Always extends the smallest uncolored vertex and solves the components
     of the rest independently, so lex-least pieces assemble the lex-least
     witness; path and cycle components get theirs from the witness walks,
     which make the same choices.  A kernel's "no" is final, and in decision
     mode so is its "yes": sibling components are never adjacent, so nothing
-    reads the colors it leaves unset.
+    reads the colors it leaves unset.  Its callers check that b >= 1.
     """
-    if b < 1:
-        raise ValueError("b must be positive")
     nodes = 0
 
     def bump():
@@ -283,6 +298,11 @@ def _solve_masks(adj, masks, b: int, budget: int | None, want_witness: bool, sha
         if budget is not None and nodes > budget:
             raise BudgetExceeded(nodes)
 
+    whole = _line(g)
+    if whole is not None:
+        got = _on_line(whole, masks, b, want_witness, bump)
+        return bool(got), nodes, (got if want_witness else None)
+    adj = g.adj
     phimask: dict[int, int] = {}
     memo: dict = {}
 
@@ -305,8 +325,6 @@ def _solve_masks(adj, masks, b: int, budget: int | None, want_witness: bool, sha
     def shape_of(comp_t):
         # components are connected, so degree <= 2 makes a path or a cycle;
         # returns (cyclic, order), and a cycle's order starts at its minimum
-        if shape is not None and len(comp_t) == len(masks):
-            return shape
         compset = set(comp_t)
         nbrs = {v: [w for w in adj[v] if w in compset] for v in comp_t}
         if any(len(ns) > 2 for ns in nbrs.values()):
@@ -334,25 +352,17 @@ def _solve_masks(adj, masks, b: int, budget: int | None, want_witness: bool, sha
             return hit
         shape = shape_of(comp_t)
         if shape is not None:
-            bump()
-            cyclic, order = shape
-            line = [eff[v] for v in order]
-            if not want_witness:
-                ok = memo[key] = (_cycle_colorable if cyclic else _path_colorable)(line, b)
-                return ok
-            chosen = (_cycle_witness if cyclic else _path_witness)(line, order, b, bump)
-            if chosen is None:
-                memo[key] = False
-                return False
-            phimask.update(zip(order, chosen))
-            return True
+            got = _on_line(shape, eff, b, want_witness, bump)
+            if want_witness and got:
+                phimask.update(got)
+                return True
+            ok = memo[key] = bool(got)
+            return ok
         v = comp_t[0]
-        avail = eff[v]
-        bits = [i for i in range(avail.bit_length()) if (avail >> i) & 1]
         rest = comp_t[1:]
-        for cand in itertools.combinations(bits, b):
+        for cand in _subsets(eff[v], b):
             bump()
-            phimask[v] = sum(1 << i for i in cand)
+            phimask[v] = cand
             for sub in split(rest):
                 if not (yield sub):
                     break
@@ -384,22 +394,6 @@ def _solve_masks(adj, masks, b: int, budget: int | None, want_witness: bool, sha
     return ok, nodes, (phimask if ok and want_witness else None)
 
 
-def _annotated_shape(g: Graph):
-    """(cyclic, order) of a path or cycle graph from its annotation, oriented
-    as shape_of orients it: the smaller end first, or a cycle from its
-    minimum toward its smaller neighbour.  None on other graphs."""
-    if g.cycle_order is not None:
-        k = g.cycle_order.index(0)
-        order = g.cycle_order[k:] + g.cycle_order[:k]
-        if order[-1] < order[1]:
-            order = order[:1] + order[:0:-1]
-        return True, order
-    if g.path_order is not None:
-        order = g.path_order
-        return False, order if order[0] <= order[-1] else order[::-1]
-    return None
-
-
 def _lists_to_masks(lists) -> tuple[list, list[int]]:
     """Bit i of a mask stands for the i-th smallest color of the universe."""
     universe = sorted(set().union(*lists))
@@ -407,14 +401,10 @@ def _lists_to_masks(lists) -> tuple[list, list[int]]:
     return universe, [sum(1 << cidx[c] for c in lst) for lst in lists]
 
 
-def color_with_lists(L: ListAssignment, b: int, budget: int | None = None) -> SolveOutcome:
-    """Decide (L,b)-colorability; the witness is the lexicographically least
-    coloring under vertex order then color order.
-
-    An edge around the search core: the lists become bitmasks over the
-    sorted color universe, the core runs in witness mode, and the chosen
-    masks come back as frozensets of colors.
-    """
+def _solve_lists(L: ListAssignment, b: int, budget: int | None, want_witness: bool) -> SolveOutcome:
+    """An edge around the search core: the lists become bitmasks over the
+    sorted color universe, the core runs, and a witness's masks come back
+    as frozensets of colors."""
     if b < 1:
         raise ValueError("b must be positive")
     if any(len(lst) < b for lst in L.lists):
@@ -423,11 +413,23 @@ def color_with_lists(L: ListAssignment, b: int, budget: int | None = None) -> So
         # phi(r) = L(r) is unsatisfiable at size b
         return SolveOutcome(colorable=False)
     universe, masks = _lists_to_masks(L.lists)
-    ok, nodes, phimask = _solve_masks(L.graph.adj, masks, b, budget, True, _annotated_shape(L.graph))
-    if not ok:
-        return SolveOutcome(colorable=False, nodes_explored=nodes)
-    witness = _masks_to_sets(universe, [phimask[v] for v in range(len(masks))])
-    return SolveOutcome(colorable=True, witness=witness, nodes_explored=nodes)
+    ok, nodes, phimask = _solve_masks(L.graph, masks, b, budget, want_witness)
+    witness = None
+    if phimask is not None:
+        witness = _masks_to_sets(universe, [phimask[v] for v in range(len(masks))])
+    return SolveOutcome(colorable=ok, witness=witness, nodes_explored=nodes)
+
+
+def color_with_lists(L: ListAssignment, b: int, budget: int | None = None) -> SolveOutcome:
+    """Decide (L,b)-colorability; the witness is the lexicographically least
+    coloring under vertex order then color order."""
+    return _solve_lists(L, b, budget, True)
+
+
+def decide_with_lists(L: ListAssignment, b: int, budget: int | None = None) -> SolveOutcome:
+    """Decide (L,b)-colorability as color_with_lists does, without building
+    a witness."""
+    return _solve_lists(L, b, budget, False)
 
 
 def _masks_to_sets(universe, masks) -> BColoring:
@@ -490,15 +492,21 @@ def _enumerate_entries(g: Graph, cap, c: int, connected_only: bool, _saturated: 
     # explicit stack of per-level multiplicities: the universe can exceed the
     # interpreter's recursion depth on loose (disconnected-trace) enumerations
     ms: list[int] = []
+    # levels of pair traces that settle themselves: any multiplicity below
+    # the largest leaves their pair room, so the walk never steps them down
+    top_only: set[int] = set()
     if _saturated:
         # settled[i]: the pair traces (u, v, edge or None) that no level after
         # i touches, so their room is fixed once level i is set
         settled: list[list] = [[] for _ in traces]
         last = {v: i for i, (sub, _) in enumerate(traces) for v in sub}
-        for sub, internal in traces:
+        for i, (sub, internal) in enumerate(traces):
             if len(sub) == 2:
                 u, v = sub
-                settled[max(last[u], last[v])].append((u, v, internal[0] if internal else None))
+                k = max(last[u], last[v])
+                settled[k].append((u, v, internal[0] if internal else None))
+                if k == i:
+                    top_only.add(i)
 
     def room(i: int) -> bool:
         # some pair trace that level i settles still has room
@@ -544,7 +552,7 @@ def _enumerate_entries(g: Graph, cap, c: int, connected_only: bool, _saturated: 
             yield (tuple(chosen), tuple(rem_cap))
         while ms:
             m = clear_level()
-            if m > 0:
+            if m > 0 and len(ms) not in top_only:
                 set_level(len(ms), m - 1)
                 if not (_saturated and room(len(ms) - 1)):
                     break
@@ -635,29 +643,20 @@ def decide_choosable(
         cap = [a] * g.n
         if r is not None:
             cap[r] = b
-        if g.cycle_order is not None:
-            order = list(g.cycle_order)
-            if r is not None:
-                k = order.index(r)
-                order = order[k:] + order[:k]
-            kernel = _cycle_colorable
-        elif g.path_order is not None:
-            order = list(g.path_order)
-            kernel = _path_colorable
-        else:
-            order = None
-            kernel = None
+        line = _line(g, r)
+        if line is not None:
+            kernel = _cycle_colorable if line[0] else _path_colorable
         for shared, singles in _enumerate_entries(g, cap, c, connected_only=True, _saturated=True):
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceeded(nodes)
             masks = _entries_to_masks(g.n, shared, singles)
-            if kernel is not None:
-                ok = kernel([masks[v] for v in order], b)
+            if line is not None:
+                ok = kernel([masks[v] for v in line[1]], b)
             else:
                 try:
                     ok, inner, _ = _solve_masks(
-                        g.adj, masks, b, None if budget is None else budget - nodes, False
+                        g, masks, b, None if budget is None else budget - nodes, False
                     )
                 except BudgetExceeded as e:
                     raise BudgetExceeded(nodes + e.nodes_explored) from None

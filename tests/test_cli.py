@@ -1,7 +1,18 @@
 import io
 import json
 
-from sepchoose import build_cycle, cert_to_json_dict, fig1_fixture, gen_sep_small_ratio
+import pytest
+
+from sepchoose import (
+    Graph,
+    ListAssignment,
+    build_cycle,
+    build_path,
+    cert_to_json_dict,
+    fig1_fixture,
+    gen_sep_small_ratio,
+    is_valid_coloring,
+)
 from sepchoose.cli import main
 
 
@@ -273,6 +284,40 @@ def test_color_cycle_rejects_pin_without_b_colors(capsys, tmp_path):
     rc, out, err = run(capsys, "color", "cycle", "--graph", gpath, "--lists", lpath, "--b", "1")
     assert (rc, out) == (1, "")
     assert err.startswith("coloring failed: precolored vertex must carry exactly b colors")
+
+
+# one colorable and one uncolorable instance each for `color path` (P3,
+# unpinned), `color cactus` (the fig1 two-square cactus pinned at its hub)
+# and `color outerplanar` (a snake of two square faces pinned at 0)
+_FIG1 = fig1_fixture().graph
+_SNAKE = Graph(n=6, edges=frozenset({(0, 1), (1, 2), (2, 3), (0, 3), (2, 4), (4, 5), (3, 5)}),
+               faces=((0, 1, 2, 3), (2, 4, 5, 3)))
+COLOR_CASES = [
+    ("path", build_path(3), [[0, 1], [0, 1, 2], [2, 3]], [[0], [0, 1], [1]]),
+    ("cactus", _FIG1, [[1], [2, 3], [3, 4], [4, 5], [2, 3], [3, 4], [4, 5]],
+     [[1], [1, 3], [3, 4], [1, 4], [2, 3], [3, 4], [2, 4]]),
+    ("outerplanar", _SNAKE, [[0], [0, 1], [1, 2], [2, 3], [3, 4], [4, 5]],
+     [[0], [0, 1], [1, 2], [0, 2], [3, 4], [4, 5]]),
+]
+
+
+@pytest.mark.parametrize("strategy, g, good, bad", COLOR_CASES, ids=[c[0] for c in COLOR_CASES])
+def test_color_path_cactus_outerplanar(capsys, tmp_path, strategy, g, good, bad):
+    gpath = write_json(tmp_path / "g.json", g.to_json_dict())
+    pin = None if strategy == "path" else {"vertex": 0}
+    for name, lists in (("good", good), ("bad", bad)):
+        payload = {"lists": lists} if pin is None else {"lists": lists, "precolored": pin}
+        lpath = write_json(tmp_path / f"{name}.json", payload)
+        rc, out, err = run(capsys, "color", strategy, "--graph", gpath, "--lists", lpath, "--b", "1")
+        if name == "bad":
+            assert (rc, out) == (1, "")
+            assert err.startswith("coloring failed:")
+            continue
+        assert rc == 0
+        L = ListAssignment(graph=g, lists=tuple(frozenset(s) for s in lists),
+                           a=max(map(len, lists)), precolored=None if pin is None else 0)
+        phi = tuple(frozenset(s) for s in json.loads(out)["coloring"])
+        assert is_valid_coloring(L, phi, 1)
 
 
 def test_color_lift(capsys, tmp_path):

@@ -221,6 +221,15 @@ def test_cactus_free_color_random():
         done += 1
 
 
+def test_cactus_free_color_rejects_non_cycle_block():
+    # K4 minus an edge is one 2-connected block with two degree-3 vertices
+    g = Graph(n=4, edges=F({(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}))
+    lists = (F({0}), F({1, 2}), F({3, 4}), F({5, 6}))
+    L = ListAssignment(graph=g, lists=lists, a=2, precolored=0)
+    with pytest.raises(ValueError, match="block is not a simple cycle"):
+        cactus_free_color(L, 1)
+
+
 def test_cactus_free_color_bridge_starvation():
     g = build_path(2)
     L = ListAssignment(graph=g, lists=(F({1, 2}), F({1, 2})), a=2, precolored=0)
@@ -270,6 +279,29 @@ def test_outerplanar_color_requires_faces():
     )
     with pytest.raises(ValueError, match="inner faces"):
         outerplanar_color(L, 1)
+
+
+# a hexagon with chords (0,2) and (3,5): inner faces (0,1,2), (0,2,3,5) and
+# (3,4,5); each case below records only some of them
+HEX_EDGES = F({(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 2), (3, 5)})
+
+
+@pytest.mark.parametrize(
+    "faces, message",
+    [
+        ((), "a 2-connected block has no recorded face"),
+        (((3, 4, 5),), "no face contains the block's entry vertex"),
+        (((0, 1, 2), (3, 4, 5)), "the block's faces are not edge-connected"),
+        (((0, 1, 2), (0, 2, 3, 5)), "faces do not cover vertex 4"),
+    ],
+)
+def test_outerplanar_color_rejects_incomplete_faces(faces, message):
+    g = Graph(n=6, edges=HEX_EDGES, faces=faces)
+    lists = (F({0}),) + tuple(F({3 * v, 3 * v + 1, 3 * v + 2}) for v in range(1, 6))
+    L = ListAssignment(graph=g, lists=lists, a=3, precolored=0)
+    with pytest.raises(ValueError) as err:
+        outerplanar_color(L, 1)
+    assert str(err.value) == message
 
 
 def test_outerplanar_color_rejects_face_cycles():

@@ -9,6 +9,7 @@ from sepchoose import (
     BudgetExceeded,
     Graph,
     ListAssignment,
+    SolveOutcome,
     build_cycle,
     build_path,
     canonicalize,
@@ -16,12 +17,13 @@ from sepchoose import (
     compute_sep,
     cycle_color_precolored,
     decide_choosable,
+    decide_with_lists,
     enumerate_canonical,
     is_valid_coloring,
     realize,
     separation,
 )
-from sepchoose.solver import _enumerate_entries, _lists_to_masks, _solve_masks
+from sepchoose.solver import _enumerate_entries
 from helpers import brute_force_colorable, brute_force_witness, random_cycle_lists
 
 F = frozenset
@@ -140,6 +142,15 @@ def test_witness_is_valid_and_lex_least():
     assert out.witness == (F({1}), F({2}), F({1}), F({2}))
 
 
+def test_pin_without_b_colors_is_uncolorable():
+    # phi(r) = L(r) cannot hold when |L(r)| != b, although the lists leave
+    # room for a b-subset at r; neither mode searches
+    L = ListAssignment(graph=build_path(2), lists=(F({0, 1}), F({2, 3})), a=2, precolored=0)
+    for solve in (color_with_lists, decide_with_lists):
+        assert solve(L, 1) == SolveOutcome(colorable=False)
+    assert color_with_lists(ListAssignment(graph=L.graph, lists=L.lists, a=2), 1).colorable
+
+
 def test_solver_agrees_with_brute_force():
     rng = random.Random(17)
     for _ in range(300):
@@ -222,10 +233,10 @@ def linear_instances(draw):
 @given(list_instances() | linear_instances())
 def test_core_modes_agree_with_brute_force(inst):
     L, b = inst
-    decided, _, phimask = _solve_masks(L.graph.adj, _lists_to_masks(L.lists)[1], b, None, False)
-    assert phimask is None
+    decided = decide_with_lists(L, b)
+    assert decided.witness is None
     out = color_with_lists(L, b)
-    assert decided == out.colorable == brute_force_colorable(L, b)
+    assert decided.colorable == out.colorable == brute_force_colorable(L, b)
     # the witness is the lex-least coloring, found without the solver
     assert out.witness == brute_force_witness(L, b)
     if out.colorable:
