@@ -2,13 +2,18 @@
 
 Subcommands: formula (closed forms), solve (exact decisions), adversary
 (certificate generation), color (constructive procedures), sweep
-(formula-vs-oracle CSV tables), verify (certificate re-checking).
+(formula-vs-oracle CSV tables), verify (certificate re-checking).  The
+first four take a kind (formula sep-cycle, adversary path, ...), and each
+kind accepts exactly the flags it reads; `sepchoose <cmd> <kind> --help`
+lists them.
 
 Exit codes: 0 for an affirmative outcome, 1 for a determined negative one
 (not choosable, verification failed, sweep mismatch), 2 for usage errors,
-out-of-regime parameters, or budget exhaustion.  The node budget defaults
-to 10^7, can be set via SEPCHOOSE_BUDGET, and --budget wins over both;
-zero or negative means unlimited.
+out-of-regime parameters, or budget exhaustion, and 141 (as if killed by
+SIGPIPE) when the reader closes stdout early.  solve, sweep and verify take
+a node budget: 10^7 by default, SEPCHOOSE_BUDGET overrides it, and --budget
+wins over both; zero or negative means unlimited.  --out FILE writes the
+payload of every subcommand but verify to FILE.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ DEFAULT_BUDGET = 10_000_000
 
 
 def _budget_from(args) -> int | None:
-    raw = getattr(args, "budget", None)
+    raw = args.budget
     if raw is None:
         env = os.environ.get("SEPCHOOSE_BUDGET")
         raw = int(env) if env else DEFAULT_BUDGET
@@ -95,99 +100,55 @@ class SystemExit2(Exception):
     """Usage or regime error; main maps it to exit code 2."""
 
 
-_CYCLE_FORMULAS = {"sep-cycle": sep_cycle, "fsep-cycle": fsep_cycle, "min-c3": fsep_min_with_triangle}
+def _outer_bounds(n: int, a: int, b: int) -> str:
+    """The girth sandwich as text; the other formula kinds return a FormulaResult."""
+    lo, hi = fsep_outerplanar_bounds(n, a, b)
+    if lo.value == hi.value:
+        return f"{lo.value} (regime: {lo.regime}, exact)"
+    return f"{lo.value}..{hi.value} (regime: {lo.regime}..{hi.regime})"
 
 
-def cmd_formula(args) -> int:
-    kind = args.kind
-    if kind in _CYCLE_FORMULAS:
-        n, a, b = _need(args, ["n", "a", "b"])
-        r = _CYCLE_FORMULAS[kind](n, a, b)
-        _emit(f"{r.value} (regime: {r.regime})", args.out)
-    elif kind == "outer-bounds":
-        n, a, b = _need(args, ["n", "a", "b"])
-        lo, hi = fsep_outerplanar_bounds(n, a, b)
-        if lo.value == hi.value:
-            _emit(f"{lo.value} (regime: {lo.regime}, exact)", args.out)
-        else:
-            _emit(f"{lo.value}..{hi.value} (regime: {lo.regime}..{hi.regime})", args.out)
-    else:
-        (path,) = _need(args, ["graph"])
-        a, b = _need(args, ["a", "b"])
-        r = fsep_cactus(_load_graph(path), a, b)
-        _emit(f"{r.value} (regime: {r.regime})", args.out)
+def cmd_formula(args, fn, *vals) -> int:
+    r = fn(*vals)
+    _emit(r if isinstance(r, str) else f"{r.value} (regime: {r.regime})", args.out)
     return 0
 
 
-def cmd_solve(args) -> int:
-    budget = _budget_from(args)
-    (path,) = _need(args, ["graph"])
-    g = _load_graph(path)
-    a, b = _need(args, ["a", "b"])
-    try:
-        if args.kind == "check":
-            (c,) = _need(args, ["c"])
-            out = decide_choosable(g, a, b, c, free=args.free, budget=budget)
-            if out.colorable:
-                _emit(f"choosable (explored {out.nodes_explored} nodes)", args.out)
-                return 0
-            lists = [sorted(s) for s in out.counterexample.lists]
-            payload = {"verdict": "not choosable", "counterexample": lists}
-            if out.counterexample.precolored is not None:
-                payload["precolored"] = {"vertex": out.counterexample.precolored}
-            _emit(json.dumps(payload), args.out)
-            return 1
-        val = compute_sep(g, a, b, free=args.free, budget=budget)
-        _emit(str(val), args.out)
+def _check(args, g, a, b, c) -> int:
+    out = decide_choosable(g, a, b, c, free=args.free, budget=_budget_from(args))
+    if out.colorable:
+        _emit(f"choosable (explored {out.nodes_explored} nodes)", args.out)
         return 0
-    except BudgetExceeded as e:
-        print(f"unknown: budget exhausted after {e.nodes_explored} nodes", file=sys.stderr)
-        return 2
+    lists = [sorted(s) for s in out.counterexample.lists]
+    payload = {"verdict": "not choosable", "counterexample": lists}
+    if out.counterexample.precolored is not None:
+        payload["precolored"] = {"vertex": out.counterexample.precolored}
+    _emit(json.dumps(payload), args.out)
+    return 1
 
 
-_FAMILIES = {
-    "small-ratio": (["n", "b", "k"], gen_sep_small_ratio),
-    "odd-cycle": (["p", "b", "alpha"], gen_sep_odd_cycle),
-    "path": (["n", "a", "b", "variant"], None),
-    "c3": (["a", "b", "variant"], gen_c3_family),
-    "flower": (["p", "a", "b"], gen_flower),
-    "fig1": ([], fig1_fixture),
-}
-
-
-def cmd_adversary(args) -> int:
-    fam = args.family
-    names, fn = _FAMILIES[fam]
-    vals = _need(args, names)
-    if fam == "path":
-        cert = gen_path_family(*vals, endpoints=args.endpoints)
-    else:
-        cert = fn(*vals)
-    _emit(json.dumps(cert_to_json_dict(cert)), args.out)
+def _sep(args, g, a, b) -> int:
+    _emit(str(compute_sep(g, a, b, free=args.free, budget=_budget_from(args))), args.out)
     return 0
 
 
-def cmd_color(args) -> int:
-    (gpath,) = _need(args, ["graph"])
-    (lpath,) = _need(args, ["lists"])
-    (b,) = _need(args, ["b"])
+def cmd_solve(args, solve, path, *vals) -> int:
+    return solve(args, _load_graph(path), *vals)
+
+
+def cmd_adversary(args, gen, *vals) -> int:
+    _emit(json.dumps(cert_to_json_dict(gen(*vals))), args.out)
+    return 0
+
+
+def cmd_color(args, colorer, gpath, lpath, b, *k) -> int:
+    if b < 1 or min(k, default=0) < 0:
+        raise SystemExit2("b must be positive" if b < 1 else "need k >= 0")
     g = _load_graph(gpath)
     L = _load_json(lpath, assignment_from_json_dict, g)
-    plan = ColoringPlan(strategy=args.strategy)
+    plan = ColoringPlan(strategy=args.kind)
     try:
-        if args.strategy == "greedy":
-            phi = greedy_cycle(L, b, plan=plan)
-        elif args.strategy == "lift":
-            (k,) = _need(args, ["k"])
-            phi = lift_cycle(L, b, k, plan=plan)
-        elif args.strategy == "path":
-            phi = path_color_precolored(L, b, plan=plan)
-        elif args.strategy == "cycle":
-            phi = cycle_color_precolored(L, b, plan=plan)
-        elif args.strategy == "cactus":
-            phi = cactus_free_color(L, b, plan=plan)
-        else:
-            phi = outerplanar_color(L, b, plan=plan)
+        phi = colorer(L, b, *k, plan=plan)
     except ValueError as e:
         print(f"coloring failed: {e}", file=sys.stderr)
         return 1
@@ -196,17 +157,14 @@ def cmd_color(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    n_max, a_max, b_max = _need(args, ["n", "a", "b"])
+def cmd_sweep(args, _, n_max, a_max, b_max) -> int:
     if n_max < 3 or a_max < 1 or b_max < 1:
         raise SystemExit2("sweep needs n >= 3 and positive a, b bounds")
     budget = _budget_from(args)
     rows = []
     for n in range(3, n_max + 1):
         for a in range(1, a_max + 1):
-            for b in range(1, b_max + 1):
-                if b > a:
-                    continue
+            for b in range(1, min(a, b_max) + 1):
                 rows.append((n, a, b))
     lines = ["n,a,b,formula_sep,oracle_sep,formula_fsep,oracle_fsep,match"]
     verified = mismatches = 0
@@ -233,7 +191,7 @@ def cmd_sweep(args) -> int:
     return 0 if mismatches == 0 else 1
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, _) -> int:
     try:
         if args.certificate and args.certificate != "-":
             with open(args.certificate) as fh:
@@ -251,74 +209,93 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    # SUPPRESS keeps a flag given before the subcommand from being clobbered
-    # by the subparser's default
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
-                        help="node budget; <= 0 for unlimited")
-    common.add_argument("--out", type=str, default=argparse.SUPPRESS,
-                        help="write the payload to this file")
-    p = argparse.ArgumentParser(prog="sepchoose", description=__doc__.splitlines()[0],
-                                parents=[common])
-    sub = p.add_subparsers(dest="command", required=True)
+# Every flag a kind can read.  Only the top-level parser holds defaults, so none
+# clobbers a flag given before the subcommand; a flag with one is never missing.
+_FLAGS: dict[str, dict] = {
+    **{name: {"type": int} for name in ("n", "a", "b", "c", "k", "alpha", "p")},
+    "graph": {"help": "graph JSON file"},
+    "lists": {"help": "list assignment JSON file"},
+    "variant": {},
+    "endpoints": {"default": "equal", "choices": ["equal", "disjoint"]},
+    "free": {"action": "store_true", "default": False, "help": "pin one vertex to a b-list"},
+    "budget": {"type": int, "help": "node budget; <= 0 for unlimited"},
+    "out": {"help": "write the payload to this file"},
+}
 
-    def ints(sp, *names):
-        for nm in names:
-            sp.add_argument(f"--{nm}", type=int, default=None)
-
-    f = sub.add_parser("formula", help="closed-form values with regimes", parents=[common])
-    f.add_argument("kind", choices=["sep-cycle", "fsep-cycle", "fsep-cactus", "outer-bounds", "min-c3"])
-    ints(f, "n", "a", "b")
-    f.add_argument("--graph", type=str, default=None, help="graph JSON (fsep-cactus); for outer-bounds --n is the girth")
-
-    s = sub.add_parser("solve", help="exact decisions by exhaustive search", parents=[common])
-    s.add_argument("kind", choices=["check", "sep"])
-    ints(s, "n", "a", "b", "c")
-    s.add_argument("--graph", type=str, default=None)
-    s.add_argument("--free", action="store_true", help="pin one vertex to a b-list")
-
-    adv = sub.add_parser("adversary", help="generate an uncolorable certificate", parents=[common])
-    adv.add_argument("family", choices=sorted(_FAMILIES))
-    ints(adv, "n", "a", "b", "c", "k", "alpha", "p")
-    adv.add_argument("--variant", type=str, default=None)
-    adv.add_argument("--endpoints", type=str, default="equal", choices=["equal", "disjoint"])
-
-    col = sub.add_parser("color", help="run a constructive coloring procedure", parents=[common])
-    col.add_argument("strategy", choices=["greedy", "lift", "path", "cycle", "cactus", "outerplanar"])
-    ints(col, "b", "k")
-    col.add_argument("--graph", type=str, default=None)
-    col.add_argument("--lists", type=str, default=None)
-
-    sw = sub.add_parser("sweep", help="formula-vs-oracle CSV over a cycle grid", parents=[common])
-    ints(sw, "n", "a", "b")
-
-    v = sub.add_parser("verify", help="re-check a certificate file", parents=[common])
-    v.add_argument("certificate", nargs="?", default=None, help="certificate JSON file; stdin when omitted or '-'")
-    return p
-
-
-_DISPATCH = {
-    "formula": cmd_formula,
-    "solve": cmd_solve,
-    "adversary": cmd_adversary,
-    "color": cmd_color,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
+# subcommand -> (help, runner, optional flags, {kind: (flags, fn)}); main calls
+# runner(args, fn, *the flags' values).  sweep and verify have the one kind None.
+_COLOR = ["graph", "lists", "b"]
+_COMMANDS = {
+    "formula": ("closed-form values with regimes; for outer-bounds --n is the girth", cmd_formula, ["out"], {
+        "sep-cycle": (["n", "a", "b"], sep_cycle),
+        "fsep-cycle": (["n", "a", "b"], fsep_cycle),
+        "fsep-cactus": (["graph", "a", "b"], lambda path, a, b: fsep_cactus(_load_graph(path), a, b)),
+        "outer-bounds": (["n", "a", "b"], _outer_bounds),
+        "min-c3": (["n", "a", "b"], fsep_min_with_triangle),
+    }),
+    "solve": ("exact decisions by exhaustive search", cmd_solve, ["free", "budget", "out"], {
+        "check": (["graph", "a", "b", "c"], _check),
+        "sep": (["graph", "a", "b"], _sep),
+    }),
+    "adversary": ("generate an uncolorable certificate", cmd_adversary, ["out"], {
+        "c3": (["a", "b", "variant"], gen_c3_family),
+        "fig1": ([], fig1_fixture),
+        "flower": (["p", "a", "b"], gen_flower),
+        "odd-cycle": (["p", "b", "alpha"], gen_sep_odd_cycle),
+        "path": (["n", "a", "b", "variant", "endpoints"], gen_path_family),
+        "small-ratio": (["n", "b", "k"], gen_sep_small_ratio),
+    }),
+    "color": ("run a constructive coloring procedure", cmd_color, ["out"], {
+        "greedy": (_COLOR, greedy_cycle),
+        "lift": ([*_COLOR, "k"], lift_cycle),
+        "path": (_COLOR, path_color_precolored),
+        "cycle": (_COLOR, cycle_color_precolored),
+        "cactus": (_COLOR, cactus_free_color),
+        "outerplanar": (_COLOR, outerplanar_color),
+    }),
+    "sweep": ("formula-vs-oracle CSV over a cycle grid", cmd_sweep, ["budget", "out"], {None: (["n", "a", "b"], None)}),
+    "verify": ("re-check a certificate file", cmd_verify, ["budget"], {None: ([], None)}),
 }
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    def add(parser, names):
+        for name in names:
+            parser.add_argument(f"--{name}", **{**_FLAGS[name], "default": argparse.SUPPRESS})
+        return parser
+
+    p = add(argparse.ArgumentParser(prog="sepchoose", description=__doc__.splitlines()[0]), ["budget", "out"])
+    p.set_defaults(kind=None, **{name: spec.get("default") for name, spec in _FLAGS.items()})
+    sub = p.add_subparsers(dest="command", required=True)
+    for cmd, (help_, _, optional, kinds) in _COMMANDS.items():
+        sp = add(sub.add_parser(cmd, help=help_), optional)
+        if None in kinds:
+            add(sp, kinds[None][0])
+            continue
+        by_kind = sp.add_subparsers(dest="kind", required=True)
+        for kind, (flags, _) in kinds.items():
+            add(by_kind.add_parser(kind), flags + optional)
+    sub.choices["verify"].add_argument("certificate", nargs="?", help="certificate JSON; stdin when omitted or '-'")
+    return p
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    for name in ("budget", "out"):
-        if not hasattr(args, name):
-            setattr(args, name, None)
+    _, run, _, kinds = _COMMANDS[args.command]
+    flags, fn = kinds[args.kind]
     try:
-        return _DISPATCH[args.command](args)
+        return run(args, fn, *_need(args, flags))
+    except BudgetExceeded as e:
+        print(f"unknown: budget exhausted after {e.nodes_explored} nodes", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # reader gone: exit quietly as SIGPIPE would; devnull lets the last flush pass
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except (SystemExit2, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -55,6 +55,8 @@ def greedy_cycle(L: ListAssignment, b: int, plan: ColoringPlan | None = None) ->
     neighbor cannot see.  Only the two lists at hand are ever inspected, so
     the trace doubles as a locality audit.  Works exactly when every vertex
     has b colors outside its forward neighbor's list."""
+    if b < 1:
+        raise ValueError("b must be positive")
     g = L.graph
     if g.cycle_order is None:
         raise ValueError("greedy_cycle needs a cycle")

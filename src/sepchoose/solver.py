@@ -627,6 +627,8 @@ def decide_choosable(
     """
     if not (1 <= b <= a):
         raise ValueError("need 1 <= b <= a")
+    if c < 0:
+        raise ValueError("c must be >= 0")
     if free:
         if g.cycle_order is not None:
             roots: list[int | None] = [g.cycle_order[0]]

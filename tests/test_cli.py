@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sepchoose
 from sepchoose import (
     Graph,
     ListAssignment,
@@ -200,6 +205,15 @@ def test_verify_rejects_flipped_claim(capsys, tmp_path):
     assert "solver says uncolorable" in err
 
 
+def test_verify_budget_exhaustion(capsys, tmp_path):
+    # an exhausted budget leaves the verdict unknown: exit 2, not a traceback
+    cpath = str(tmp_path / "flower.json")
+    assert run(capsys, "adversary", "flower", "--p", "3", "--a", "5", "--b", "2", "--out", cpath)[0] == 0
+    rc, out, err = run(capsys, "verify", "--budget", "1", cpath)
+    assert (rc, out) == (2, "")
+    assert err.startswith("unknown: budget exhausted after ")
+
+
 def test_verify_malformed_input(capsys, tmp_path):
     cpath = tmp_path / "cert.json"
     cpath.write_text("{not json")
@@ -320,6 +334,17 @@ def test_color_path_cactus_outerplanar(capsys, tmp_path, strategy, g, good, bad)
         assert is_valid_coloring(L, phi, 1)
 
 
+@pytest.mark.parametrize("strategy, b, k", [("greedy", "0", None), ("greedy", "-2", None),
+                                           ("path", "0", None), ("lift", "1", "-1")])
+def test_color_range_errors_are_usage_errors(capsys, tmp_path, strategy, b, k):
+    gpath = write_json(tmp_path / "g.json", build_cycle(4).to_json_dict())
+    lpath = write_json(tmp_path / "l.json", {"lists": [[0, 1, 2], [3, 4, 5], [0, 1, 2], [3, 4, 5]]})
+    argv = ["color", strategy, "--graph", gpath, "--lists", lpath, "--b", b] + (["--k", k] if k else [])
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == ("error: b must be positive\n" if k is None else "error: need k >= 0\n")
+
+
 def test_color_lift(capsys, tmp_path):
     gpath = write_json(tmp_path / "g.json", build_cycle(3).to_json_dict())
     lists = [[0, 1, 2, 3, 4], [1, 2, 3, 4, 5], [2, 3, 4, 5, 6]]
@@ -356,3 +381,37 @@ def test_missing_graph_file(capsys):
     rc, _, err = run(capsys, "solve", "sep", "--graph", "/nonexistent.json", "--a", "2", "--b", "1")
     assert rc == 2
     assert err.startswith("error:")
+
+
+# each kind's parser accepts exactly the flags its handler reads
+REJECTED = [
+    ["solve", "sep", "--graph", "g.json", "--a", "2", "--b", "1", "--n", "99"],
+    ["adversary", "small-ratio", "--n", "5", "--b", "2", "--k", "1", "--c", "77"],
+    ["formula", "sep-cycle", "--n", "5", "--a", "9", "--b", "4", "--graph", "g.json"],
+    ["formula", "fsep-cactus", "--graph", "g.json", "--a", "5", "--b", "2", "--n", "5"],
+    ["adversary", "fig1", "--n", "3"],
+    ["color", "greedy", "--graph", "g.json", "--lists", "l.json", "--b", "1", "--k", "1"],
+    ["formula", "sep-cycle", "--n", "5", "--a", "9", "--b", "4", "--budget", "5"],
+    ["verify", "--out", "x", "cert.json"],
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED, ids=[" ".join(a[:2]) + " " + a[-2] for a in REJECTED])
+def test_unread_flag_is_rejected(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments" in err
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the flower payload (about 150 KB) outgrows a pipe buffer, so the write
+    # after the reader has gone always fails
+    env = dict(os.environ, PYTHONPATH=str(Path(sepchoose.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sepchoose.cli", "adversary", "flower", "--p", "4", "--a", "12", "--b", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")

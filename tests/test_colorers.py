@@ -59,6 +59,13 @@ def test_greedy_cycle_rejects_paths():
         greedy_cycle(L, 1)
 
 
+@pytest.mark.parametrize("b", [0, -2])
+def test_greedy_cycle_rejects_non_positive_b(b):
+    L = ListAssignment(graph=build_cycle(4), lists=(F({0, 1, 2}), F({3, 4, 5})) * 2, a=3)
+    with pytest.raises(ValueError, match="b must be positive"):
+        greedy_cycle(L, b)
+
+
 # --- lifting ----------------------------------------------------------------
 
 def test_lift_cycle_random_instances():

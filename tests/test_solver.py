@@ -264,6 +264,11 @@ def test_free_requires_pinned_vertex():
         cycle_color_precolored(L, 1)
 
 
+def test_decide_rejects_negative_c():
+    with pytest.raises(ValueError, match="c must be >= 0"):
+        decide_choosable(build_cycle(4), 2, 1, -1)
+
+
 def test_budget_exhaustion_raises():
     g = build_cycle(5)
     with pytest.raises(BudgetExceeded) as ei:
