@@ -75,6 +75,22 @@ def _fset(*parts) -> ColorSet:
     return frozenset(out)
 
 
+def _cert(g: Graph, lists, a: int, b: int, c: int, family: str, precolored: int | None = None) -> Certificate:
+    """Package uncolorable lists on g as a certificate."""
+    L = ListAssignment(graph=g, lists=tuple(lists), a=a, precolored=precolored)
+    return Certificate(graph=g, a=a, b=b, c=c, assignment=L, claim="uncolorable", family=family)
+
+
+def _ring(n: int, shared: int, edge: int, private: int) -> tuple[ColorSet, ...]:
+    """Cycle lists from one block all vertices share, a block per edge shared
+    by its two ends, and a private block per vertex, allocated in that order."""
+    alloc = _Alloc()
+    C = alloc.fresh(shared)
+    D = [alloc.fresh(edge) for _ in range(n)]
+    F = [alloc.fresh(private) for _ in range(n)]
+    return tuple(_fset(C, D[i], D[(i + 1) % n], F[i]) for i in range(n))
+
+
 def gen_sep_small_ratio(n: int, b: int, k: int) -> Certificate:
     """Cycle family for a = b+k with k < b: one globally shared color, k-blocks
     shared along each edge, private filler.  Separation is exactly k+1 and the
@@ -83,15 +99,7 @@ def gen_sep_small_ratio(n: int, b: int, k: int) -> Certificate:
         raise ValueError("cycle needs n >= 3")
     if not (0 <= k < b):
         raise ValueError(f"need 0 <= k < b, got k={k}, b={b}")
-    a = b + k
-    alloc = _Alloc()
-    C = alloc.fresh(1)
-    D = [alloc.fresh(k) for _ in range(n)]
-    F = [alloc.fresh(b - k - 1) for _ in range(n)]
-    lists = tuple(_fset(C, D[i], D[(i + 1) % n], F[i]) for i in range(n))
-    g = build_cycle(n)
-    L = ListAssignment(graph=g, lists=lists, a=a)
-    return Certificate(graph=g, a=a, b=b, c=k + 1, assignment=L, claim="uncolorable", family="cycle-small-ratio")
+    return _cert(build_cycle(n), _ring(n, 1, k, b - k - 1), b + k, b, k + 1, "cycle-small-ratio")
 
 
 def gen_sep_odd_cycle(p: int, b: int, alpha: int) -> Certificate:
@@ -102,27 +110,25 @@ def gen_sep_odd_cycle(p: int, b: int, alpha: int) -> Certificate:
     if alpha < 0 or p * alpha > b - 1:
         raise ValueError(f"need 0 <= alpha and p*alpha <= b-1, got p={p}, b={b}, alpha={alpha}")
     n = 2 * p + 1
-    a = 2 * b + alpha
-    alloc = _Alloc()
-    C = alloc.fresh(n * alpha + 2)
-    D = [alloc.fresh(b - p * alpha - 1) for _ in range(n)]
-    lists = tuple(_fset(C, D[i], D[(i + 1) % n]) for i in range(n))
-    g = build_cycle(n)
-    L = ListAssignment(graph=g, lists=lists, a=a)
-    c = b + (p + 1) * alpha + 1
-    return Certificate(graph=g, a=a, b=b, c=c, assignment=L, claim="uncolorable", family="cycle-odd-saturated")
+    lists = _ring(n, n * alpha + 2, b - p * alpha - 1, 0)
+    return _cert(build_cycle(n), lists, 2 * b + alpha, b, b + (p + 1) * alpha + 1, "cycle-odd-saturated")
 
 
 def gen_path_family(n: int, a: int, b: int, variant: str, endpoints: str = "equal") -> Certificate:
     """Uncolorable path P_{n+1} with b-sized pinned end lists, one unit above
-    the colorable threshold.
+    the colorable threshold c-1.
 
-    variant picks the box layout: case1 in the low regime (chained a-c fresh
-    blocks), case2a in the middle regime when a >= 2c (the whole end block
-    re-enters the second list), case2b for the knife-edge a = 2c-1 (rows
-    alternate c / c-1 overlaps).  endpoints: "equal" reuses the left b-block
-    on the right, "disjoint" pins b new colors; both give the same total
-    supply.
+    Every variant is one chain of a-lists, rows 2..n, between the pinned
+    blocks B (row 1) and B' (row n+1).  Row 2 is end(B) plus a fresh block
+    filling it to a; row i repeats the last keep(i) colors of row i-1's
+    fresh block and adds a - keep(i) fresh colors; row n is end(B') plus the
+    last keep(n) colors of row n-1's fresh block plus fresh filler.  So rows
+    i-1 and i share keep(i) colors.  variant sets the two parameters: case1
+    (low regime, a >= 2c) has end(X) = X[:c]; case2a (middle regime,
+    a >= 2c) re-enters the whole end block, end(X) = X; case2b (the
+    knife-edge a = 2c-1) does too but has keep(i) = c-1 at even i.  Every
+    other keep(i) is c.  endpoints: "equal" reuses the left b-block on the
+    right, "disjoint" pins b new colors; both give the same total supply.
     """
     if n < 4:
         raise ValueError("need n >= 4; the n = 3 layout is not claimed tight")
@@ -132,111 +138,74 @@ def gen_path_family(n: int, a: int, b: int, variant: str, endpoints: str = "equa
         raise ValueError(f"unknown endpoints mode {endpoints!r}")
     t = c_threshold(n, a, b)
     c = t.floor + 1
-    alloc = _Alloc()
-    B = alloc.fresh(b)
-    rows: list[ColorSet] = [frozenset(B)]
-
-    if variant == "case1":
-        if t.regime != "low":
-            raise ValueError(f"case1 needs the low regime, got {t.regime}")
-        if a < 2 * c:
-            raise ValueError(f"case1 layout needs a >= 2c (a={a}, c={c})")
-        if c > b:
-            raise AssertionError("low regime guarantees c <= b")
-        prev = alloc.fresh(a - c)
-        rows.append(_fset(B[:c], prev))
-        for _ in range(3, n):
-            cur = alloc.fresh(a - c)
-            rows.append(_fset(prev[-c:], cur))
-            prev = cur
-        Bp = B if endpoints == "equal" else alloc.fresh(b)
-        rows.append(_fset(Bp[:c], prev[-c:], alloc.fresh(a - 2 * c)))
-        rows.append(frozenset(Bp))
-    elif variant == "case2a":
-        if t.regime != "middle":
-            raise ValueError(f"case2a needs the middle regime, got {t.regime}")
-        if a < 2 * c:
-            raise ValueError(f"case2a needs a >= 2c (a={a}, c={c}); try case2b")
-        prev = alloc.fresh(a - b)
-        rows.append(_fset(B, prev))
-        for _ in range(3, n):
-            cur = alloc.fresh(a - c)
-            rows.append(_fset(prev[-c:], cur))
-            prev = cur
-        Bp = B if endpoints == "equal" else alloc.fresh(b)
-        rows.append(_fset(Bp, prev[-c:], alloc.fresh(a - c - b)))
-        rows.append(frozenset(Bp))
-    elif variant == "case2b":
-        if t.regime != "middle":
-            raise ValueError(f"case2b needs the middle regime, got {t.regime}")
-        if a != 2 * c - 1:
-            raise ValueError(f"case2b needs a = 2c-1 exactly (a={a}, c={c})")
-        if c < b + 1:
-            raise AssertionError("middle regime guarantees c >= b+1")
-        prev = alloc.fresh(2 * c - b - 1)
-        rows.append(_fset(B, prev))
-        for i in range(3, n):
-            if i % 2 == 1:
-                cur = alloc.fresh(c - 1)
-                rows.append(_fset(prev[-c:], cur))
-            else:
-                cur = alloc.fresh(c)
-                rows.append(_fset(prev[-(c - 1):], cur))
-            prev = cur
-        Bp = B if endpoints == "equal" else alloc.fresh(b)
-        if n % 2 == 1:
-            rows.append(_fset(Bp, prev[-c:], alloc.fresh(c - b - 1)))
-        else:
-            rows.append(_fset(Bp, prev[-(c - 1):], alloc.fresh(c - b)))
-        rows.append(frozenset(Bp))
-    else:
+    if variant not in ("case1", "case2a", "case2b"):
         raise ValueError(f"unknown variant {variant!r}")
+    regime = "low" if variant == "case1" else "middle"
+    if t.regime != regime:
+        raise ValueError(f"{variant} needs the {regime} regime, got {t.regime}")
+    if variant == "case1" and a < 2 * c:
+        raise ValueError(f"case1 layout needs a >= 2c (a={a}, c={c})")
+    if variant == "case2a" and a < 2 * c:
+        raise ValueError(f"case2a needs a >= 2c (a={a}, c={c}); try case2b")
+    if variant == "case2b" and a != 2 * c - 1:
+        raise ValueError(f"case2b needs a = 2c-1 exactly (a={a}, c={c})")
+    if variant == "case1" and c > b:
+        raise AssertionError("low regime guarantees c <= b")
+    if variant == "case2b" and c < b + 1:
+        raise AssertionError("middle regime guarantees c >= b+1")
 
-    g = build_path(n + 1)
-    L = ListAssignment(graph=g, lists=tuple(rows), a=a)
-    return Certificate(graph=g, a=a, b=b, c=c, assignment=L, claim="uncolorable", family=f"path-{variant}")
+    alloc = _Alloc()
+    B = Bp = alloc.fresh(b)
+    rows: list[ColorSet] = [frozenset(B)]
+    prev: tuple[int, ...] = ()
+    for i in range(2, n + 1):
+        keep = 0 if i == 2 else c - 1 if variant == "case2b" and i % 2 == 0 else c
+        if i == n and endpoints == "disjoint":
+            Bp = alloc.fresh(b)
+        pinned = B if i == 2 else Bp if i == n else ()
+        if variant == "case1":
+            pinned = pinned[:c]
+        tail = prev[-keep:] if keep else ()
+        prev = alloc.fresh(a - len(pinned) - keep)
+        rows.append(_fset(pinned, tail, prev))
+    rows.append(frozenset(Bp))
+    return _cert(build_path(n + 1), rows, a, b, c, f"path-{variant}")
 
 
 def gen_c3_family(a: int, b: int, variant: str) -> Certificate:
     """Uncolorable triangle with x1 pinned to a b-list, one above threshold.
 
-    case1 (a < 7b/4): c = floor(2(a-b)/3)+1; the third list reuses
-    t = min(b-c, c) end colors of the pinned block and s = min(c, a-c) head
-    colors of the fresh block, which keeps every edge at most c even in the
-    b > 2c corner where the naive t = b-c overflows.  case2 (7b/4 <= a < 3b):
-    c = 2a-3b+1, with the high layout (a >= 2b) re-entering the whole pinned
-    block and the low layout (a < 2b) splitting it.
+    Every variant lists (B, B[:h] + A, B[b-t:] + A[:s] + fresh(a-t-s)) with
+    B the pinned block and A = fresh(a-h): the second list keeps the first h
+    pinned colors, the third reuses the last t of them and the first s of A.
+    case1 (a < 7b/4) has c = floor(2(a-b)/3)+1 and case2 (7b/4 <= a < 3b)
+    has c = 2a-3b+1.  case1 and case2_low (a < 2b) take (h, t, s) =
+    (c, min(b-c, c), min(c, a-c)), which keeps every edge at most c even in
+    the b > 2c corner where the naive t = b-c overflows; case2_high (a >= 2b)
+    re-enters the whole pinned block, (h, t, s) = (b, b, c-b).
     """
     if not (1 <= b <= a):
         raise ValueError("need 1 <= b <= a")
-    alloc = _Alloc()
-    B = alloc.fresh(b)
     if variant == "case1":
         if not 4 * a < 7 * b:
             raise ValueError(f"case1 needs a < 7b/4, got a={a}, b={b}")
         c = (2 * (a - b)) // 3 + 1
-        A = alloc.fresh(a - c)
-        t = min(b - c, c)
-        s = min(c, a - c)
-        l3 = _fset(B[b - t:], A[:s], alloc.fresh(a - t - s))
-        lists = (frozenset(B), _fset(B[:c], A), l3)
     elif variant == "case2_high":
         if not (7 * b <= 4 * a and a < 3 * b and a >= 2 * b):
             raise ValueError(f"case2_high needs 7b/4 <= a < 3b and a >= 2b, got a={a}, b={b}")
         c = 2 * a - 3 * b + 1
-        A = alloc.fresh(a - b)
-        lists = (frozenset(B), _fset(B, A), _fset(B, A[: c - b], alloc.fresh(a - c)))
     elif variant == "case2_low":
         if not (7 * b <= 4 * a and a < 2 * b):
             raise ValueError(f"case2_low needs 7b/4 <= a < 2b, got a={a}, b={b}")
         c = 2 * a - 3 * b + 1
-        A = alloc.fresh(a - c)
-        lists = (frozenset(B), _fset(B[:c], A), _fset(B[c:], A[:c], alloc.fresh(a - b)))
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    g = build_cycle(3)
-    L = ListAssignment(graph=g, lists=lists, a=a, precolored=0)
-    return Certificate(graph=g, a=a, b=b, c=c, assignment=L, claim="uncolorable", family=f"triangle-{variant.replace('_', '-')}")
+    h, t, s = (b, b, c - b) if variant == "case2_high" else (c, min(b - c, c), min(c, a - c))
+    alloc = _Alloc()
+    B = alloc.fresh(b)
+    A = alloc.fresh(a - h)
+    lists = (frozenset(B), _fset(B[:h], A), _fset(B[b - t:], A[:s], alloc.fresh(a - t - s)))
+    return _cert(build_cycle(3), lists, a, b, c, f"triangle-{variant.replace('_', '-')}", precolored=0)
 
 
 def _pick_c3_variant(a: int, b: int) -> str:
@@ -277,13 +246,8 @@ def glue_path_to_cycle(cert: Certificate) -> Certificate:
     if lists[order[0]] != lists[order[-1]]:
         raise ValueError("gluing needs equal end lists")
     n = g.n - 1
-    cyc = build_cycle(n)
-    new_lists = tuple(lists[order[i]] for i in range(n))
-    L = ListAssignment(graph=cyc, lists=new_lists, a=cert.a, precolored=0)
-    return Certificate(
-        graph=cyc, a=cert.a, b=cert.b, c=cert.c, assignment=L,
-        claim="uncolorable", family=cert.family + "+glued",
-    )
+    new_lists = (lists[order[i]] for i in range(n))
+    return _cert(build_cycle(n), new_lists, cert.a, cert.b, cert.c, cert.family + "+glued", precolored=0)
 
 
 def gen_flower(p: int, a: int, b: int) -> Certificate:
@@ -323,8 +287,7 @@ def gen_flower(p: int, a: int, b: int) -> Certificate:
         for j in range(1, p):
             v = 1 + i * (p - 1) + (j - 1)
             lists[v] = frozenset(remap(x) for x in inner_lists[j])
-    L = ListAssignment(graph=g, lists=tuple(lists), a=a)
-    return Certificate(graph=g, a=a, b=b, c=c, assignment=L, claim="uncolorable", family="flower")
+    return _cert(g, lists, a, b, c, "flower")
 
 
 def fig1_fixture() -> Certificate:
@@ -333,8 +296,7 @@ def fig1_fixture() -> Certificate:
     other {2,3},{3,4},{2,4}."""
     g = identify_vertices(build_cycle(4), 0, build_cycle(4), 0)
     raw = [{1, 2}, {1, 3}, {3, 4}, {1, 4}, {2, 3}, {3, 4}, {2, 4}]
-    L = ListAssignment(graph=g, lists=tuple(frozenset(s) for s in raw), a=2)
-    return Certificate(graph=g, a=2, b=1, c=1, assignment=L, claim="uncolorable", family="fig1")
+    return _cert(g, (frozenset(s) for s in raw), 2, 1, 1, "fig1")
 
 
 def claimed_sigma(cert: Certificate) -> int | None:

@@ -8,12 +8,14 @@ kind accepts exactly the flags it reads; `sepchoose <cmd> <kind> --help`
 lists them.
 
 Exit codes: 0 for an affirmative outcome, 1 for a determined negative one
-(not choosable, verification failed, sweep mismatch), 2 for usage errors,
-out-of-regime parameters, or budget exhaustion, and 141 (as if killed by
-SIGPIPE) when the reader closes stdout early.  solve, sweep and verify take
-a node budget: 10^7 by default, SEPCHOOSE_BUDGET overrides it, and --budget
-wins over both; zero or negative means unlimited.  --out FILE writes the
-payload of every subcommand but verify to FILE.
+(not choosable, verification failed, coloring failed, sweep mismatch), 2
+for usage errors, out-of-regime parameters, input a colorer cannot take,
+or budget exhaustion, and 141 (as if killed by SIGPIPE) when the reader
+closes stdout early.  solve, sweep and verify take a node budget: 10^7 by
+default, SEPCHOOSE_BUDGET overrides it, and --budget wins over both; zero
+or negative means unlimited.  --out FILE writes the payload of every
+subcommand but verify to FILE.  Either flag, given before a subcommand
+that does not read it, is a usage error.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .adversary import (
     verify_certificate,
 )
 from .colorers import (
+    ColoringInputError,
     ColoringPlan,
     cactus_free_color,
     cycle_color_precolored,
@@ -149,6 +152,8 @@ def cmd_color(args, colorer, gpath, lpath, b, *k) -> int:
     plan = ColoringPlan(strategy=args.kind)
     try:
         phi = colorer(L, b, *k, plan=plan)
+    except ColoringInputError:
+        raise
     except ValueError as e:
         print(f"coloring failed: {e}", file=sys.stderr)
         return 1
@@ -280,11 +285,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        _, run, optional, kinds = _COMMANDS[args.command]
+        # the top-level parser takes --budget and --out before any subcommand
+        for name in ("budget", "out"):
+            if getattr(args, name) is not None and name not in optional:
+                parser.error(f"{args.command} does not read --{name}")
     except SystemExit as e:
         return int(e.code or 0)
-    _, run, _, kinds = _COMMANDS[args.command]
     flags, fn = kinds[args.kind]
     try:
         return run(args, fn, *_need(args, flags))

@@ -25,6 +25,7 @@ from .solver import _color_path, color_with_lists
 
 __all__ = [
     "ColoringPlan",
+    "ColoringInputError",
     "greedy_cycle",
     "lift_cycle",
     "path_color_precolored",
@@ -46,6 +47,11 @@ class ColoringPlan:
         return {"strategy": self.strategy, "steps": [[v, list(cs)] for v, cs in self.steps]}
 
 
+class ColoringInputError(ValueError):
+    """The input misses a colorer's precondition (graph kind or annotation,
+    pin, list width), found before any color is picked."""
+
+
 def _lex_least(pool: ColorSet, size: int) -> frozenset[int]:
     return frozenset(sorted(pool)[:size])
 
@@ -56,10 +62,10 @@ def greedy_cycle(L: ListAssignment, b: int, plan: ColoringPlan | None = None) ->
     the trace doubles as a locality audit.  Works exactly when every vertex
     has b colors outside its forward neighbor's list."""
     if b < 1:
-        raise ValueError("b must be positive")
+        raise ColoringInputError("b must be positive")
     g = L.graph
     if g.cycle_order is None:
-        raise ValueError("greedy_cycle needs a cycle")
+        raise ColoringInputError("greedy_cycle needs a cycle")
     order = g.cycle_order
     n = len(order)
     phi: dict[int, frozenset[int]] = {}
@@ -84,8 +90,9 @@ def lift_cycle(
     plan: ColoringPlan | None = None,
 ) -> BColoring:
     """Color a cycle whose lists are 2k wider and k less separated than some
-    colorable base setting, by handing out k forward-safe colors per vertex,
-    discarding k more, and coloring the residue at the base parameters.
+    colorable base setting, by handing out k forward-safe colors per vertex
+    (greedy_cycle's picks at b = k), discarding k more, and coloring the
+    residue at the base parameters.
 
     L carries (a+2k)-lists with adjacent overlaps at most c+k; the result is
     a (b+k)-coloring.  b is the base amount.  The per-vertex discard set is
@@ -96,11 +103,11 @@ def lift_cycle(
     """
     g = L.graph
     if g.cycle_order is None:
-        raise ValueError("lift_cycle needs a cycle")
+        raise ColoringInputError("lift_cycle needs a cycle")
     if L.precolored is not None:
-        raise ValueError("lifting a pinned instance is not supported")
+        raise ColoringInputError("lifting a pinned instance is not supported")
     if k < 0:
-        raise ValueError("need k >= 0")
+        raise ColoringInputError("need k >= 0")
     if base is None:
         base = _exact_base
     if k == 0:
@@ -109,16 +116,9 @@ def lift_cycle(
     n = len(order)
     a_res = L.a - 2 * k
     if a_res < b:
-        raise ValueError(f"lists too narrow to shed 2k colors (a={L.a}, k={k})")
+        raise ColoringInputError(f"lists too narrow to shed 2k colors (a={L.a}, k={k})")
 
-    picks: dict[int, frozenset[int]] = {}
-    for i, x in enumerate(order):
-        nxt = order[(i + 1) % n]
-        pool = L.lists[x] - L.lists[nxt]
-        if len(pool) < k:
-            raise ValueError(f"vertex {x} lacks k={k} colors unseen by its forward neighbor")
-        picks[x] = _lex_least(pool, k)
-
+    picks = greedy_cycle(L, k)
     residual: list[ColorSet] = list(L.lists)
     for i, x in enumerate(order):
         nxt = order[(i + 1) % n]
@@ -163,9 +163,9 @@ def _pin(L: ListAssignment, b: int) -> int:
     """The pinned vertex, whose whole list is its color set."""
     r = L.precolored
     if r is None:
-        raise ValueError("no pinned vertex")
+        raise ColoringInputError("no pinned vertex")
     if len(L.lists[r]) != b:
-        raise ValueError("precolored vertex must carry exactly b colors")
+        raise ColoringInputError("precolored vertex must carry exactly b colors")
     return r
 
 
@@ -201,7 +201,7 @@ def path_color_precolored(L: ListAssignment, b: int, plan: ColoringPlan | None =
     color supply cannot cover its demand."""
     g = L.graph
     if g.path_order is None:
-        raise ValueError("path_color_precolored needs a path")
+        raise ColoringInputError("path_color_precolored needs a path")
     if L.precolored is not None:
         _pin(L, b)
     order = g.path_order
@@ -219,7 +219,7 @@ def cycle_color_precolored(L: ListAssignment, b: int, plan: ColoringPlan | None 
     exactly the pinned triangle."""
     g = L.graph
     if g.cycle_order is None:
-        raise ValueError("cycle_color_precolored needs a cycle")
+        raise ColoringInputError("cycle_color_precolored needs a cycle")
     r = _pin(L, b)
     order = g.cycle_order
     idx = order.index(r)
@@ -372,7 +372,7 @@ def outerplanar_color(L: ListAssignment, b: int, plan: ColoringPlan | None = Non
     and every further face as a path pinned at its shared edge."""
     g = L.graph
     if g.faces is None:
-        raise ValueError("outerplanar coloring needs the inner faces")
+        raise ColoringInputError("outerplanar coloring needs the inner faces")
     faces = [tuple(f) for f in g.faces]
 
     def block_faces(vset, edges, entry):

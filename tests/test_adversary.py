@@ -37,6 +37,11 @@ def test_small_ratio_layout():
     assert (cert.a, cert.b, cert.c) == (3, 2, 2)
     assert cert.assignment.lists == (F({0, 1, 2}), F({0, 2, 3}), F({0, 3, 4}), F({0, 1, 4}))
     check(cert)
+    # k = 0: the edge blocks are empty, each list is the shared color plus its filler
+    cert = gen_sep_small_ratio(4, 2, 0)
+    assert (cert.a, cert.b, cert.c) == (2, 2, 1)
+    assert cert.assignment.lists == (F({0, 1}), F({0, 2}), F({0, 3}), F({0, 4}))
+    check(cert)
 
 
 def test_odd_cycle_layout():
@@ -44,6 +49,17 @@ def test_odd_cycle_layout():
     cert = gen_sep_odd_cycle(1, 2, 1)
     assert (cert.a, cert.b, cert.c) == (5, 2, 5)
     assert cert.assignment.lists == (F(range(5)),) * 3
+    check(cert)
+    # alpha = 0: no private blocks, so the edge blocks follow the shared one directly
+    cert = gen_sep_odd_cycle(2, 4, 0)
+    assert (cert.a, cert.b, cert.c) == (8, 4, 5)
+    assert cert.assignment.lists == (
+        F({0, 1, 2, 3, 4, 5, 6, 7}),
+        F({0, 1, 5, 6, 7, 8, 9, 10}),
+        F({0, 1, 8, 9, 10, 11, 12, 13}),
+        F({0, 1, 11, 12, 13, 14, 15, 16}),
+        F({0, 1, 2, 3, 4, 14, 15, 16}),
+    )
     check(cert)
 
 
@@ -87,6 +103,55 @@ def test_path_case1_layout():
         F(range(5, 14)),
         F({0, 1, 2, 3, 10, 11, 12, 13, 14}),
         F(range(4)),
+    )
+    check(cert)
+    # c = 3 < b: only the first c pinned colors enter the second and next-to-last lists
+    cert = gen_path_family(5, 7, 4, "case1")
+    assert cert.c == 3
+    assert cert.assignment.lists == (
+        F(range(4)),
+        F({0, 1, 2, 4, 5, 6, 7}),
+        F(range(5, 12)),
+        F(range(9, 16)),
+        F({0, 1, 2, 13, 14, 15, 16}),
+        F(range(4)),
+    )
+    check(cert)
+
+
+def test_path_case2_layouts():
+    # case2a with a disjoint right end: the whole end block enters its neighbor's list
+    cert = gen_path_family(4, 12, 5, "case2a", endpoints="disjoint")
+    assert cert.c == 6
+    assert cert.assignment.lists == (
+        F(range(5)),
+        F(range(12)),
+        F(range(6, 18)),
+        F(range(12, 24)),
+        F(range(18, 23)),
+    )
+    check(cert)
+    # case2b, n odd: rows alternate c / c-1 overlaps and the last overlap is c
+    cert = gen_path_family(5, 9, 4, "case2b")
+    assert cert.c == 5
+    assert cert.assignment.lists == (
+        F(range(4)),
+        F(range(9)),
+        F(range(4, 13)),
+        F(range(9, 18)),
+        F({0, 1, 2, 3, 13, 14, 15, 16, 17}),
+        F(range(4)),
+    )
+    check(cert)
+    # case2b, n even: the last overlap is c-1
+    cert = gen_path_family(4, 7, 3, "case2b")
+    assert cert.c == 4
+    assert cert.assignment.lists == (
+        F(range(3)),
+        F(range(7)),
+        F(range(3, 10)),
+        F({0, 1, 2, 7, 8, 9, 10}),
+        F(range(3)),
     )
     check(cert)
 

@@ -292,12 +292,36 @@ def test_color_failure_is_exit_one(capsys, tmp_path):
 
 
 def test_color_cycle_rejects_pin_without_b_colors(capsys, tmp_path):
+    # a pin that is not a b-list is an input error, found before any color is picked
     gpath = write_json(tmp_path / "g.json", build_cycle(4).to_json_dict())
     lists = {"lists": [[1, 2], [2, 3], [3, 4], [4, 1]], "precolored": {"vertex": 0}}
     lpath = write_json(tmp_path / "l.json", lists)
     rc, out, err = run(capsys, "color", "cycle", "--graph", gpath, "--lists", lpath, "--b", "1")
-    assert (rc, out) == (1, "")
-    assert err.startswith("coloring failed: precolored vertex must carry exactly b colors")
+    assert (rc, out) == (2, "")
+    assert err == "error: precolored vertex must carry exactly b colors\n"
+
+
+# a colorer's checks before it picks any color (graph kind or annotation, pin,
+# k against the list width) are usage errors, not determined negatives
+_C4_LISTS = {"lists": [[0, 1, 2], [3, 4, 5], [0, 1, 2], [3, 4, 5]]}
+PRECONDITIONS = [
+    ("greedy", build_path(3), {"lists": [[0], [0, 1], [1]]}, [], "greedy_cycle needs a cycle"),
+    ("cycle", build_cycle(4), _C4_LISTS, [], "no pinned vertex"),
+    ("path", build_cycle(4), _C4_LISTS, [], "path_color_precolored needs a path"),
+    ("outerplanar", build_cycle(4), {**_C4_LISTS, "precolored": {"vertex": 0}}, [],
+     "outerplanar coloring needs the inner faces"),
+    ("lift", build_cycle(4), _C4_LISTS, ["--k", "2"], "lists too narrow to shed 2k colors (a=3, k=2)"),
+]
+
+
+@pytest.mark.parametrize("strategy, g, lists, extra, message", PRECONDITIONS,
+                         ids=[c[0] for c in PRECONDITIONS])
+def test_color_preconditions_are_usage_errors(capsys, tmp_path, strategy, g, lists, extra, message):
+    gpath = write_json(tmp_path / "g.json", g.to_json_dict())
+    lpath = write_json(tmp_path / "l.json", lists)
+    rc, out, err = run(capsys, "color", strategy, "--graph", gpath, "--lists", lpath, "--b", "1", *extra)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 # one colorable and one uncolorable instance each for `color path` (P3,
@@ -401,6 +425,31 @@ def test_unread_flag_is_rejected(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (2, "")
     assert "unrecognized arguments" in err
+
+
+# --budget and --out also parse before the subcommand, which must read them
+TOP_LEVEL_UNREAD = [
+    (["--budget", "5", "formula", "sep-cycle", "--n", "5", "--a", "9", "--b", "4"], "formula", "--budget"),
+    (["--out", "x.json", "verify", "cert.json"], "verify", "--out"),
+    (["--budget", "5", "adversary", "fig1"], "adversary", "--budget"),
+    (["--budget", "5", "color", "greedy", "--graph", "g.json", "--lists", "l.json", "--b", "1"], "color", "--budget"),
+]
+
+
+@pytest.mark.parametrize("argv, cmd, flag", TOP_LEVEL_UNREAD, ids=[f"{f} {c}" for _, c, f in TOP_LEVEL_UNREAD])
+def test_top_level_flag_unread_by_subcommand_is_rejected(capsys, tmp_path, monkeypatch, argv, cmd, flag):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.endswith(f"error: {cmd} does not read {flag}\n")
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_top_level_out_before_a_reader_writes(capsys, tmp_path):
+    opath = tmp_path / "fig1.json"
+    rc, out, _ = run(capsys, "--out", str(opath), "adversary", "fig1")
+    assert (rc, out) == (0, "")
+    assert json.loads(opath.read_text()) == cert_to_json_dict(fig1_fixture())
 
 
 def test_closed_stdout_exits_141_quietly():

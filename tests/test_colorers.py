@@ -118,6 +118,13 @@ def test_lift_cycle_rejects_pinned_and_negative():
         lift_cycle(L, 1, -1)
 
 
+def test_lift_cycle_starves_like_greedy():
+    # the lift's picks are greedy_cycle's at b = k, so it fails with greedy's message
+    L = ListAssignment(graph=build_cycle(3), lists=(F({0, 1, 2, 3}),) * 3, a=4)
+    with pytest.raises(ValueError, match="vertex 0 has only 0 colors unseen by its forward neighbor, needs 1"):
+        lift_cycle(L, 1, 1)
+
+
 def test_lift_cycle_flags_base_reusing_picks():
     lists = (F({0, 1, 2, 3, 4}), F({1, 2, 3, 4, 5}), F({2, 3, 4, 5, 6}))
     L = ListAssignment(graph=build_cycle(3), lists=lists, a=5)
