@@ -19,8 +19,8 @@ import itertools
 from dataclasses import dataclass
 
 from .formulas import c_threshold, fsep_cycle
-from .graphs import Graph, build_cycle, build_flower, build_path, graph_from_json_dict, identify_vertices
-from .lists import ColorSet, ListAssignment, assignment_unchecked, separation
+from .graphs import Graph, _check, build_cycle, build_flower, build_path, graph_from_json_dict, identify_vertices
+from .lists import _ASSIGNMENT, ColorSet, ListAssignment, _lists_for, separation
 from .solver import decide_with_lists
 
 __all__ = [
@@ -364,15 +364,14 @@ def cert_to_json_dict(cert: Certificate) -> dict:
     return d
 
 
+_CERT = {"graph": {}, **_ASSIGNMENT, "a": 1, "b": 1, "c": 0,
+         "claim": frozenset({"uncolorable", "colorable"}), "family?": str}
+
+
 def cert_from_json_dict(d: dict) -> Certificate:
+    _check(d, _CERT, "certificate")
     g = graph_from_json_dict(d["graph"])
-    pre = None
-    if d.get("precolored") is not None:
-        pre = int(d["precolored"]["vertex"])
-    # structural load only, so size violations surface as verification
-    # failures instead of parse errors
-    L = assignment_unchecked(g, d["lists"], int(d["a"]), pre)
-    return Certificate(
-        graph=g, a=int(d["a"]), b=int(d["b"]), c=int(d["c"]),
-        assignment=L, claim=d["claim"], family=d.get("family", "unknown"),
-    )
+    lists, pre = _lists_for(d, g.n, "certificate")
+    L = ListAssignment._trusted(g, lists, d["a"], pre)
+    return Certificate(graph=g, a=d["a"], b=d["b"], c=d["c"], assignment=L, claim=d["claim"],
+                       family=d.get("family") or "unknown")

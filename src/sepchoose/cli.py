@@ -9,18 +9,19 @@ lists them.
 
 Exit codes: 0 for an affirmative outcome, 1 for a determined negative one
 (not choosable, verification failed, coloring failed, sweep mismatch), 2
-for usage errors, out-of-regime parameters, input a colorer cannot take,
-or budget exhaustion, and 141 (as if killed by SIGPIPE) when the reader
-closes stdout early.  solve, sweep and verify take a node budget: 10^7 by
-default, SEPCHOOSE_BUDGET overrides it, and --budget wins over both; zero
-or negative means unlimited.  --out FILE writes the payload of every
-subcommand but verify to FILE.  Either flag, given before a subcommand
-that does not read it, is a usage error.
+for usage errors, a malformed input file, out-of-regime parameters, input
+a colorer cannot take, or budget exhaustion, and 141 (as if killed by
+SIGPIPE) when the reader closes stdout early.  solve, sweep and verify
+take a node budget: 10^7 by default, SEPCHOOSE_BUDGET overrides it, and
+--budget wins over both; zero or negative means unlimited.  --out FILE
+writes the payload of every subcommand but verify to FILE.  Either flag,
+given before a subcommand that does not read it, is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -77,16 +78,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_json(path: str, build, *args):
-    """build(json payload, *args); a payload of the wrong shape is a usage error."""
-    with open(path) as fh:
+    """build(the JSON payload of path, or of stdin for '-', *args); a payload that fails either is a usage error."""
+    with contextlib.nullcontext(sys.stdin) if path == "-" else open(path) as fh:
         try:
             return build(json.load(fh), *args)
-        except (KeyError, TypeError, json.JSONDecodeError) as e:
-            raise SystemExit2(f"malformed JSON in {path}: {e!r}") from None
-
-
-def _load_graph(path: str):
-    return _load_json(path, graph_from_json_dict)
+        except (ValueError, RecursionError) as e:
+            raise SystemExit2(f"malformed JSON in {path}: {e}") from None
 
 
 def _need(args, names: list[str]) -> list:
@@ -136,7 +133,7 @@ def _sep(args, g, a, b) -> int:
 
 
 def cmd_solve(args, solve, path, *vals) -> int:
-    return solve(args, _load_graph(path), *vals)
+    return solve(args, _load_json(path, graph_from_json_dict), *vals)
 
 
 def cmd_adversary(args, gen, *vals) -> int:
@@ -147,7 +144,7 @@ def cmd_adversary(args, gen, *vals) -> int:
 def cmd_color(args, colorer, gpath, lpath, b, *k) -> int:
     if b < 1 or min(k, default=0) < 0:
         raise SystemExit2("b must be positive" if b < 1 else "need k >= 0")
-    g = _load_graph(gpath)
+    g = _load_json(gpath, graph_from_json_dict)
     L = _load_json(lpath, assignment_from_json_dict, g)
     plan = ColoringPlan(strategy=args.kind)
     try:
@@ -197,15 +194,7 @@ def cmd_sweep(args, _, n_max, a_max, b_max) -> int:
 
 
 def cmd_verify(args, _) -> int:
-    try:
-        if args.certificate and args.certificate != "-":
-            with open(args.certificate) as fh:
-                cert = cert_from_json_dict(json.load(fh))
-        else:
-            cert = cert_from_json_dict(json.load(sys.stdin))
-    except (OSError, KeyError, TypeError, ValueError) as e:
-        print(f"malformed certificate: {e}", file=sys.stderr)
-        return 2
+    cert = _load_json(args.certificate or "-", cert_from_json_dict)
     ok, reason = verify_certificate(cert, budget=_budget_from(args))
     if ok:
         print(f"ok: {cert.family} claim {cert.claim!r} confirmed")
@@ -234,7 +223,7 @@ _COMMANDS = {
     "formula": ("closed-form values with regimes; for outer-bounds --n is the girth", cmd_formula, ["out"], {
         "sep-cycle": (["n", "a", "b"], sep_cycle),
         "fsep-cycle": (["n", "a", "b"], fsep_cycle),
-        "fsep-cactus": (["graph", "a", "b"], lambda path, a, b: fsep_cactus(_load_graph(path), a, b)),
+        "fsep-cactus": (["graph", "a", "b"], lambda path, a, b: fsep_cactus(_load_json(path, graph_from_json_dict), a, b)),
         "outer-bounds": (["n", "a", "b"], _outer_bounds),
         "min-c3": (["n", "a", "b"], fsep_min_with_triangle),
     }),

@@ -240,10 +240,7 @@ def _cycle_order_in_block(edges: frozenset[tuple[int, int]], entry: int) -> list
     prev, cur = entry, min(adj[entry])
     while cur != entry:
         walk.append(cur)
-        nbrs = [w for w in adj[cur] if w != prev]
-        if len(nbrs) != 1:
-            raise ValueError("block is not a simple cycle")
-        prev, cur = cur, nbrs[0]
+        prev, cur = cur, next(w for w in adj[cur] if w != prev)
     return walk
 
 
@@ -266,15 +263,24 @@ def _face_edges(f) -> set[tuple[int, int]]:
     return {tuple(sorted((f[i], f[(i + 1) % m]))) for i in range(m)}
 
 
-def _walk_blocks(L: ListAssignment, b: int, plan: ColoringPlan | None, block_faces) -> BColoring:
+def _walk_blocks(L: ListAssignment, b: int, plan: ColoringPlan | None, block_faces, cycles_only=False) -> BColoring:
     """Color a connected graph with one pinned vertex block by block, in BFS
     order over the blocks from the pin.  A bridge gives its far end the
     lex-least b colors its colored end cannot see.  A 2-connected block is
     completed face by face over block_faces(vertices, edges, entry): the
     first listed face that holds the entry vertex becomes a cycle pinned at
     the entry, and every further face a path pinned at the least edge it
-    shares with a face already colored."""
+    shares with a face already colored.  A disconnected graph, or a non-cactus
+    if cycles_only, is rejected before any color is picked."""
     g = L.graph
+    try:
+        blocks = block_decomposition(g)
+    except ValueError as e:
+        raise ColoringInputError(str(e)) from None
+    vsets = [sorted({w for e in blk for w in e}) for blk in blocks]
+    # a 2-connected block with as many edges as vertices is a cycle
+    if cycles_only and any(len(blk) > 1 and len(blk) != len(vs) for blk, vs in zip(blocks, vsets)):
+        raise ColoringInputError("block is not a simple cycle")
     r = _pin(L, b)
     if plan is not None:
         plan.record(r, L.lists[r])
@@ -285,8 +291,6 @@ def _walk_blocks(L: ListAssignment, b: int, plan: ColoringPlan | None, block_fac
         if plan is not None:
             plan.record(v, colors)
 
-    blocks = block_decomposition(g)
-    vsets = [sorted({w for e in blk for w in e}) for blk in blocks]
     by_vertex: dict[int, list[int]] = {}
     for bi, vs in enumerate(vsets):
         for v in vs:
@@ -362,7 +366,7 @@ def cactus_free_color(L: ListAssignment, b: int, plan: ColoringPlan | None = Non
     """Color a cactus with one vertex pinned to its whole b-list by walking
     the block tree outward: bridges take the lex-least b colors their colored
     end cannot see, cycle blocks are completed as pinned cycles."""
-    return _walk_blocks(L, b, plan, lambda vset, edges, entry: [_cycle_order_in_block(edges, entry)])
+    return _walk_blocks(L, b, plan, lambda vset, edges, entry: [_cycle_order_in_block(edges, entry)], True)
 
 
 def outerplanar_color(L: ListAssignment, b: int, plan: ColoringPlan | None = None) -> BColoring:

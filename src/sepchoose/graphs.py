@@ -11,6 +11,7 @@ computes them from scratch and is their only source.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from dataclasses import dataclass, field
 
 Edge = tuple[int, int]
@@ -88,14 +89,46 @@ class Graph:
         return d
 
 
+def _check(payload, shape, where: str) -> None:
+    """Raise ValueError("<where>: <problem>") unless a JSON payload has the
+    shape: an int k is an integer >= k (not a bool), [s] a list of s, a tuple
+    a list of exactly those shapes, a dict an object whose keys ending in "?"
+    may be absent or null, str any string, a frozenset one of its strings."""
+    if isinstance(shape, dict):
+        ok, want = type(payload) is dict, "an object"
+        for key, sub in shape.items() if ok else ():
+            name = key.rstrip("?")
+            if name == key and name not in payload:
+                raise ValueError(f"{where}.{name}: missing")
+            if name == key or payload.get(name) is not None:
+                _check(payload[name], sub, f"{where}.{name}")
+    elif isinstance(shape, (list, tuple)):
+        fixed = isinstance(shape, tuple)
+        ok = type(payload) is list and not (fixed and len(payload) != len(shape))
+        want = f"a list of {len(shape)}" if fixed else "a list"
+        for i, item in enumerate(payload if ok else ()):
+            _check(item, shape[i] if fixed else shape[0], f"{where}[{i}]")
+    elif isinstance(shape, int):
+        ok, want = type(payload) is int and payload >= shape, f"an int >= {shape}"
+    elif shape is str:
+        ok, want = isinstance(payload, str), "a string"
+    else:
+        ok, want = isinstance(payload, str) and payload in shape, " or ".join(map(repr, sorted(shape)))
+    if not ok:
+        raise ValueError(f"{where}: expected {want}, got {reprlib.repr(payload)}")
+
+
+_GRAPH = {"n": 1, "edges": [(0, 0)], "cycle_order?": [0], "path_order?": [0], "faces?": [[0]]}
+
+
 def graph_from_json_dict(d: dict) -> Graph:
-    return Graph(
-        n=int(d["n"]),
-        edges=frozenset(_norm(int(u), int(v)) for u, v in d["edges"]),
-        cycle_order=tuple(d["cycle_order"]) if "cycle_order" in d else None,
-        path_order=tuple(d["path_order"]) if "path_order" in d else None,
-        faces=tuple(tuple(f) for f in d["faces"]) if "faces" in d else None,
-    )
+    _check(d, _GRAPH, "graph")
+    # bounding the isolated vertices bounds the adjacency Graph allocates by the file's size
+    if d["n"] > 2 * len(d["edges"]) + 1:
+        raise ValueError(f"graph.n: expected at most 2 * len(edges) + 1, got {d['n']}")
+    orders = {k: tuple(d[k]) for k in ("cycle_order", "path_order") if d.get(k) is not None}
+    faces = None if d.get("faces") is None else tuple(map(tuple, d["faces"]))
+    return Graph(n=d["n"], edges=frozenset(map(tuple, d["edges"])), faces=faces, **orders)
 
 
 def build_cycle(n: int) -> Graph:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, _check
 
 ColorSet = frozenset[int]
 BColoring = tuple[ColorSet, ...]
@@ -61,6 +61,13 @@ class ListAssignment:
             if len(L) < self.a and v != self.precolored and v not in ends:
                 raise ValueError(f"short list at interior vertex {v}")
 
+    @classmethod
+    def _trusted(cls, graph: Graph, lists: tuple[ColorSet, ...], a: int, precolored: int | None):
+        """Build unchecked, for a reader that checked the structure; `verify_certificate` judges sizes."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(graph=graph, lists=lists, a=a, precolored=precolored)
+        return obj
+
     def to_json_dict(self) -> dict:
         d = {"lists": [sorted(L) for L in self.lists]}
         if self.precolored is not None:
@@ -68,30 +75,24 @@ class ListAssignment:
         return d
 
 
-def assignment_from_json_dict(d: dict, graph: Graph, a: int | None = None) -> ListAssignment:
-    lists = tuple(frozenset(int(c) for c in L) for L in d["lists"])
-    if a is None:
-        a = max(len(L) for L in lists)
-    pre = None
-    if d.get("precolored") is not None:
-        pre = int(d["precolored"]["vertex"])
-    return ListAssignment(graph=graph, lists=lists, a=a, precolored=pre)
+_ASSIGNMENT = {"lists": [[0]], "precolored?": {"vertex": 0}}
 
 
-def assignment_unchecked(graph: Graph, lists, a: int, precolored: int | None) -> ListAssignment:
-    """Bypass the size conventions (structural checks only), for loading
-    external data whose invariants are re-checked downstream."""
-    lists = tuple(frozenset(int(c) for c in L) for L in lists)
-    if len(lists) != graph.n:
-        raise ValueError("one list per vertex required")
-    if precolored is not None and not (0 <= precolored < graph.n):
-        raise ValueError("precolored vertex out of range")
-    obj = object.__new__(ListAssignment)
-    object.__setattr__(obj, "graph", graph)
-    object.__setattr__(obj, "lists", lists)
-    object.__setattr__(obj, "a", a)
-    object.__setattr__(obj, "precolored", precolored)
-    return obj
+def _lists_for(d: dict, n: int, where: str) -> tuple[tuple[ColorSet, ...], int | None]:
+    """The lists and pin of a checked assignment payload on n vertices."""
+    if len(d["lists"]) != n:
+        raise ValueError(f"{where}.lists: expected graph.n = {n} lists, got {len(d['lists'])}")
+    pre = (d.get("precolored") or {}).get("vertex")
+    if pre is not None and pre >= n:
+        raise ValueError(f"{where}.precolored.vertex: expected a vertex < {n}, got {pre}")
+    return tuple(frozenset(L) for L in d["lists"]), pre
+
+
+def assignment_from_json_dict(d: dict, graph: Graph) -> ListAssignment:
+    """An assignment on graph with a taken as its longest list."""
+    _check(d, _ASSIGNMENT, "assignment")
+    lists, pre = _lists_for(d, graph.n, "assignment")
+    return ListAssignment(graph=graph, lists=lists, a=max(map(len, lists)), precolored=pre)
 
 
 def separation(L: ListAssignment) -> int:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -19,7 +20,7 @@ from sepchoose import (
     separation,
     verify_certificate,
 )
-from sepchoose.lists import assignment_unchecked
+from test_acceptance import _certificate_grid
 
 F = frozenset
 
@@ -287,13 +288,9 @@ def test_out_of_regime_raises():
 # --- verification and serialization -------------------------------------------
 
 def test_verify_reports_size_violation():
-    cert = gen_sep_small_ratio(4, 2, 1)
-    bad_lists = list(cert.assignment.lists)
-    bad_lists[1] = bad_lists[1] | {99}
-    tampered = dataclasses.replace(
-        cert,
-        assignment=assignment_unchecked(cert.graph, bad_lists, cert.a, None),
-    )
+    d = cert_to_json_dict(gen_sep_small_ratio(4, 2, 1))
+    d["lists"][1] = d["lists"][1] + [99]
+    tampered = cert_from_json_dict(d)
     ok, reason = verify_certificate(tampered)
     assert not ok
     assert "size 4, expected 3" in reason
@@ -334,6 +331,22 @@ def test_certificate_json_round_trip():
             cert.a, cert.b, cert.c, cert.claim, cert.family,
         )
         assert verify_certificate(back)[0]
+
+
+def test_json_round_trip_keeps_every_criterion_4_certificate():
+    # the acceptance suite's certificates and flowers, plus the fig1 cactus
+    flowers = []
+    for p in range(3, 9):
+        for b in range(1, 5):
+            for a in range(b, 4 * b + 1):
+                try:
+                    flowers.append(gen_flower(p, a, b))
+                except ValueError:
+                    continue
+    for cert in _certificate_grid() + flowers + [fig1_fixture()]:
+        back = cert_from_json_dict(json.loads(json.dumps(cert_to_json_dict(cert))))
+        assert back == cert
+        assert verify_certificate(back) == (True, "ok"), cert.family
 
 
 def test_generators_are_deterministic():

@@ -1,11 +1,19 @@
+import copy
+import functools
 import io
 import json
+import operator
 import os
+import resource
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import sepchoose
 from sepchoose import (
@@ -219,7 +227,7 @@ def test_verify_malformed_input(capsys, tmp_path):
     cpath.write_text("{not json")
     rc, _, err = run(capsys, "verify", str(cpath))
     assert rc == 2
-    assert err.startswith("malformed certificate")
+    assert err.startswith("error: malformed JSON in")
 
 
 # --- sweep --------------------------------------------------------------------
@@ -379,6 +387,187 @@ def test_color_lift(capsys, tmp_path):
     assert rc == 0
     payload = json.loads(out)
     assert all(len(cs) == 2 for cs in payload["coloring"])
+
+
+# --- malformed input files ------------------------------------------------------
+
+_CERT = cert_to_json_dict(gen_sep_small_ratio(4, 2, 1))
+_C4 = build_cycle(4).to_json_dict()
+_DEEP = "[" * 100_000
+
+
+def _cert_with(**fields):
+    return {**_CERT, **fields}
+
+
+def _lists_with(*path_value, **fields):
+    lists = [list(L) for L in _C4_LISTS["lists"]]
+    for (v, i), value in path_value:
+        lists[v][i] = value
+    return {"lists": lists, **fields}
+
+
+def _verify(cert):
+    return ["verify", "c.json"], {"c.json": cert}
+
+
+def _color(lists, graph=_C4, kind="greedy"):
+    return ["color", kind, "--graph", "g.json", "--lists", "l.json", "--b", "1"], {"g.json": graph, "l.json": lists}
+
+
+def _graph(cmd, graph):
+    kind = ["solve", "sep"] if cmd == "solve" else ["formula", "fsep-cactus"]
+    return [*kind, "--graph", "g.json", "--a", "2", "--b", "1"], {"g.json": graph}
+
+
+# every case exits 2 and names the bad field (or the file, for input that does not parse)
+MALFORMED = {
+    "verify negative color": (*_verify(_cert_with(lists=[[-1, 1, 2]] + _CERT["lists"][1:])),
+                              "certificate.lists[0][0]: expected an int >= 0, got -1"),
+    "verify string b": (*_verify(_cert_with(b="2")), "certificate.b: expected an int >= 1, got '2'"),
+    "verify float n": (*_verify(_cert_with(graph={**_CERT["graph"], "n": 4.7})),
+                       "graph.n: expected an int >= 1, got 4.7"),
+    "verify float color": (*_verify(_cert_with(lists=[[1.5, 1, 2]] + _CERT["lists"][1:])),
+                           "certificate.lists[0][0]: expected an int >= 0, got 1.5"),
+    "verify a 0": (*_verify(_cert_with(a=0)), "certificate.a: expected an int >= 1, got 0"),
+    "verify bool a": (*_verify(_cert_with(a=True)), "certificate.a: expected an int >= 1, got True"),
+    "verify int claim": (*_verify(_cert_with(claim=5)),
+                         "certificate.claim: expected 'colorable' or 'uncolorable', got 5"),
+    "verify string pin": (*_verify(_cert_with(precolored="x")),
+                          "certificate.precolored: expected an object, got 'x'"),
+    "verify top-level list": (*_verify([_CERT]), "certificate: expected an object, got [{'a': 3, 'b': 2, "),
+    "verify deep": (*_verify(_DEEP), "malformed JSON in c.json: "),
+    "color float color": (*_color(_lists_with(((0, 0), 0.5))), "assignment.lists[0][0]: expected an int >= 0, got 0.5"),
+    "color string color": (*_color(_lists_with(((0, 0), "0"))),
+                           "assignment.lists[0][0]: expected an int >= 0, got '0'"),
+    "color string pin": (*_color(_lists_with(precolored={"vertex": "0"})),
+                         "assignment.precolored.vertex: expected an int >= 0, got '0'"),
+    "color float pin": (*_color(_lists_with(precolored={"vertex": 0.2})),
+                        "assignment.precolored.vertex: expected an int >= 0, got 0.2"),
+    "color no lists": (*_color({"lists": []}), "assignment.lists: expected graph.n = 4 lists, got 0"),
+    "color deep": (*_color(_DEEP), "malformed JSON in l.json: "),
+    "color cactus on K4-e": (*_color({"lists": [[0], [1, 2], [1, 2], [1, 2]], "precolored": {"vertex": 0}},
+                                     {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3], [0, 2]]}, "cactus"),
+                             "error: block is not a simple cycle"),
+    "color cactus on two edges": (*_color({"lists": [[0], [1, 2], [1, 2], [1, 2]], "precolored": {"vertex": 0}},
+                                          {"n": 4, "edges": [[0, 1], [2, 3]]}, "cactus"),
+                                  "error: block decomposition needs a connected graph"),
+    "color outerplanar on two triangles": (
+        *_color({"lists": [[0], *[[1, 2]] * 5], "precolored": {"vertex": 0}},
+                {"n": 6, "edges": [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]], "faces": [[0, 1, 2], [3, 4, 5]]},
+                "outerplanar"),
+        "error: block decomposition needs a connected graph"),
+    **{f"{cmd} {name}": (*_graph(cmd, graph), message) for cmd in ("solve", "formula") for name, graph, message in [
+        ("string n", {**_C4, "n": "4"}, "graph.n: expected an int >= 1, got '4'"),
+        ("bool n", {**_C4, "n": True}, "graph.n: expected an int >= 1, got True"),
+        ("float endpoint", {"n": 4, "edges": [[0, 1.9], [1, 2], [2, 3], [0, 3]]},
+         "graph.edges[0][1]: expected an int >= 0, got 1.9"),
+        ("string edges", {"n": 4, "edges": "ab"}, "graph.edges: expected a list, got 'ab'"),
+        ("deep", _DEEP, "malformed JSON in g.json: "),
+    ]},
+}
+
+
+@pytest.mark.parametrize("argv, files, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_a_usage_error(capsys, tmp_path, monkeypatch, argv, files, message):
+    monkeypatch.chdir(tmp_path)
+    for name, payload in files.items():
+        (tmp_path / name).write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert message in err and "Traceback" not in err
+
+
+def _limit_memory():
+    # a regression that allocates per declared vertex fails the test, not the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _cli_child(*argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(Path(sepchoose.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "sepchoose.cli", *argv], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=60, preexec_fn=_limit_memory)
+
+
+# a graph of 10^9 vertices once exhausted memory, so these run only in a limited child
+_HUGE_GRAPH = "graph.n: expected at most 2 * len(edges) + 1, got 1000000000"
+HUGE_N = [
+    (["solve", "sep", "--graph", "g.json", "--a", "2", "--b", "1"], _HUGE_GRAPH),
+    (["formula", "fsep-cactus", "--graph", "g.json", "--a", "2", "--b", "1"], _HUGE_GRAPH),
+    (["color", "greedy", "--graph", "g.json", "--lists", "l.json", "--b", "1"], _HUGE_GRAPH),
+    (["verify", "c.json"], _HUGE_GRAPH),
+]
+
+
+@pytest.mark.parametrize("argv, message", HUGE_N, ids=[argv[0] for argv, _ in HUGE_N])
+def test_huge_n_is_rejected_before_allocation(tmp_path, argv, message):
+    write_json(tmp_path / "g.json", {"n": 10**9, "edges": [[0, 1]]})
+    write_json(tmp_path / "l.json", {"lists": [[0], [1]]})
+    write_json(tmp_path / "c.json", _cert_with(graph={**_CERT["graph"], "n": 10**9}))
+    t0 = time.perf_counter()
+    proc = _cli_child(*argv, cwd=tmp_path)
+    assert time.perf_counter() - t0 < 2
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+# one valid input set per file-reading command; the fuzz test mutates one field of one file
+FUZZ_BASES = {
+    "solve": (["solve", "check", "--graph", "g.json", "--a", "2", "--b", "1", "--c", "1"], {"g.json": _C4}),
+    "color": (["color", "cactus", "--graph", "g.json", "--lists", "l.json", "--b", "1"],
+              {"g.json": _FIG1.to_json_dict(), "l.json": {"lists": COLOR_CASES[1][2], "precolored": {"vertex": 0}}}),
+    "formula": (["formula", "fsep-cactus", "--graph", "g.json", "--a", "5", "--b", "2"], {"g.json": _FIG1.to_json_dict()}),
+    "verify": (["verify", "c.json"], {"c.json": cert_to_json_dict(fig1_fixture())}),
+}
+MUTATIONS = {
+    "wrong type": lambda v: 0 if isinstance(v, str) else "x",
+    "float": lambda v: v + 0.5 if type(v) is int else 1.5,
+    "bool": lambda v: True,
+    "negative": lambda v: -1,
+    "null": lambda v: None,
+    "extra nesting": lambda v: [v],
+    "missing": None,
+}
+
+
+def _json_paths(value, path=()):
+    """Every path into a JSON value, through object keys and list indices."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _json_paths(item, path + (key,))
+
+
+def _mutated(doc, path, kind):
+    if not path:
+        return {} if kind == "missing" else MUTATIONS[kind](doc)
+    doc = copy.deepcopy(doc)
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    if kind == "missing":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = MUTATIONS[kind](parent[path[-1]])
+    return doc
+
+
+@seed(20201019)
+@settings(max_examples=24, deadline=None, database=None)
+@given(st.data())
+def test_one_field_mutations_exit_cleanly(data):
+    argv, files = FUZZ_BASES[data.draw(st.sampled_from(sorted(FUZZ_BASES)), label="command")]
+    target = data.draw(st.sampled_from(sorted(files)), label="file")
+    path = data.draw(st.sampled_from(list(_json_paths(files[target]))), label="path")
+    kind = data.draw(st.sampled_from(sorted(MUTATIONS)), label="mutation")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in files.items():
+            Path(tmp, name).write_text(json.dumps(_mutated(doc, path, kind) if name == target else doc))
+        proc = _cli_child(*argv, cwd=tmp)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 1:
+        # exit 1 is a determined negative only
+        assert proc.stderr.startswith(("failed:", "coloring failed:")) or (
+            json.loads(proc.stdout)["verdict"] == "not choosable"), proc.stderr
 
 
 # --- plumbing -------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -98,3 +100,41 @@ def test_json_preserves_faces_and_orders():
     )
     h2 = graph_from_json_dict(snake.to_json_dict())
     assert h2.faces == snake.faces
+
+
+def test_json_round_trip_keeps_every_golden_graph():
+    golden = json.loads(Path(__file__).with_name("colorer_golden.json").read_text())
+    for case in golden:
+        g = graph_from_json_dict(case["graph"])
+        assert graph_from_json_dict(json.loads(json.dumps(g.to_json_dict()))) == g
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"n": 3, "edges": [[0, 1], [1, 2.0]]}, "graph.edges[1][1]: expected an int >= 0, got 2.0"),
+    ({"n": 3, "edges": [[0, 1, 2]]}, "graph.edges[0]: expected a list of 2, got [0, 1, 2]"),
+    ({"n": False, "edges": []}, "graph.n: expected an int >= 1, got False"),
+    ({"edges": []}, "graph.n: missing"),
+    ({"n": 4, "edges": [[0, 1]]}, "graph.n: expected at most 2 * len(edges) + 1, got 4"),
+    ({"n": 2, "edges": [[0, 1]], "path_order": "01"}, "graph.path_order: expected a list, got '01'"),
+])
+def test_json_reader_names_the_bad_field(payload, message):
+    with pytest.raises(ValueError) as err:
+        graph_from_json_dict(payload)
+    assert str(err.value) == message
+
+
+def test_json_reader_message_stays_short_on_a_huge_payload():
+    # a full repr of the first payload is an 80 MB string and takes over a second
+    rows = [list(range(10**6))] * 10
+    for payload, message in [({"n": rows, "edges": []}, "graph.n: expected an int >= 1, got [[0, 1, 2, 3, 4, 5, ...], "),
+                             ({"n": 2, "edges": [[0, 1]], "faces": "x" * 10**7}, "graph.faces: expected a list, got 'xxx")]:
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            graph_from_json_dict(payload)
+        assert time.perf_counter() - t0 < 0.5
+        assert str(err.value).startswith(message) and len(str(err.value)) < 200
+
+
+def test_json_reader_takes_null_as_an_absent_annotation():
+    g = graph_from_json_dict({"n": 3, "edges": [[0, 1], [1, 2]], "path_order": None, "faces": None})
+    assert g == Graph(n=3, edges=frozenset({(0, 1), (1, 2)}))

@@ -205,9 +205,23 @@ def test_realize_round_trip_preserves_separation():
         assert canonicalize(R) == canonicalize(L)
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"lists": [[0], [1, -1], [2]]}, "assignment.lists[1][1]: expected an int >= 0, got -1"),
+    ({"lists": [[0], [True], [2]]}, "assignment.lists[1][0]: expected an int >= 0, got True"),
+    ({"lists": [[0], [1]]}, "assignment.lists: expected graph.n = 3 lists, got 2"),
+    ({"lists": [[0], [1], [2]], "precolored": {"vertex": 3}}, "assignment.precolored.vertex: expected a vertex < 3, got 3"),
+    ({"lists": [[0], [1], [2]], "precolored": {}}, "assignment.precolored.vertex: missing"),
+    ([[0], [1], [2]], "assignment: expected an object, got [[0], [1], [2]]"),
+])
+def test_assignment_json_reader_names_the_bad_field(payload, message):
+    with pytest.raises(ValueError) as err:
+        assignment_from_json_dict(payload, build_cycle(3))
+    assert str(err.value) == message
+
+
 def test_assignment_json_round_trip():
     g = build_cycle(3)
     L = ListAssignment(graph=g, lists=(F({1}), F({1, 2}), F({2, 3})), a=2, precolored=0)
     d = L.to_json_dict()
-    back = assignment_from_json_dict(d, g, a=2)
+    back = assignment_from_json_dict(d, g)
     assert back.lists == L.lists and back.precolored == 0
