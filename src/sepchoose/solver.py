@@ -44,6 +44,17 @@ whose trace touches u or v; there, a smaller multiplicity only leaves more
 room, so a level whose choice leaves room is dropped whole.  Merging a
 shared color with a single or another shared color would prune more, but
 breaks that monotonicity.
+
+It also walks only the first instance of each orbit under G's automorphisms
+(the root's stabiliser when pinned): orderly generation (Read 1978, McKay
+1998).  Automorphisms keep verdicts, connectivity and room, so the first
+failing instance comes first in its orbit (its images fail too, and none
+fails before it) and is kept.  The stream is lexicographically descending
+in the multiplicity vector, and an automorphism permutes traces within a
+size class, so once a class is set the prefix decides against its image: a
+larger image dooms every completion (a smaller multiplicity here may still
+win, so the level steps down by one), a smaller one retires the automorphism
+for this subtree, and a tie leaves it for later classes.
 """
 
 from __future__ import annotations
@@ -51,6 +62,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .graphs import Graph
 from .lists import BColoring, ListAssignment, TraceMultiset, realize
@@ -448,44 +460,76 @@ def _color_path(lists, ranks, b: int) -> BColoring | None:
     return None if chosen is None else _masks_to_sets(universe, chosen)
 
 
-def _connected_subset(g: Graph, sub) -> bool:
-    seen = {sub[0]}
-    q = [sub[0]]
-    inset = set(sub)
-    while q:
-        u = q.pop()
-        for w in g.adj[u]:
-            if w in inset and w not in seen:
-                seen.add(w)
-                q.append(w)
-    return len(seen) == len(sub)
-
-
-def _trace_universe(g: Graph, connected_only: bool):
-    """Candidate shared traces (size >= 2), densest first; singletons are slack."""
+def _trace_universe(g: Graph, connected_only: bool, bump):
+    """Candidate shared traces (size >= 2), densest first; singletons are
+    slack.  Connected traces grow from single vertices one neighbour at a
+    time, so no disconnected set is built, and each costs one bump."""
     edges = sorted(g.edges)
     eidx = {e: i for i, e in enumerate(edges)}
-    traces = []
-    for r in range(2, g.n + 1):
-        for sub in itertools.combinations(range(g.n), r):
-            if connected_only and not _connected_subset(g, sub):
-                continue
-            internal = [eidx[p] for p in itertools.combinations(sub, 2) if p in eidx]
-            traces.append((sub, tuple(internal)))
-    traces.sort(key=lambda t: (-len(t[0]), t[0]))
-    return traces, len(edges)
+    if connected_only:
+        subs, layer = [], [(v,) for v in range(g.n)]
+    else:
+        subs, layer = [s for r in range(2, g.n + 1) for s in itertools.combinations(range(g.n), r)], []
+    while layer:
+        grown = {}
+        for sub in layer:
+            for w in set().union(*(g.adj[v] for v in sub)).difference(sub):
+                t = tuple(sorted(sub + (w,)))
+                if t not in grown:
+                    bump()
+                    grown[t] = None
+        layer = list(grown)
+        subs += layer
+    subs.sort(key=lambda t: (-len(t), t))
+    return [(t, tuple([eidx[p] for p in itertools.combinations(t, 2) if p in eidx])) for t in subs], len(edges)
 
 
-def _enumerate_entries(g: Graph, cap, c: int, connected_only: bool, _saturated: bool = False):
+def _automorphisms(g: Graph, bump) -> list[tuple[int, ...]]:
+    """Up to 720 automorphisms of g as vertex maps (any set of them keeps
+    the orbit pruning sound), found by a search that maps vertices 0, 1, ...
+    in turn to unused ones of equal degree and matching adjacency to earlier
+    ones.  Each dead end costs one bump: every branch of the search ends in
+    one or in an automorphism, so the budget bounds the search."""
+    adj, img, found = g.adj, [], []
+
+    def options(v):
+        back, taken = [u for u in adj[v] if u < v], set(img)
+        want = {img[u] for u in back}
+        pool = adj[img[back[0]]] if back else range(g.n)
+        ws = sorted(w for w in pool if w not in taken and len(adj[w]) == len(adj[v]) and adj[w] & taken == want)
+        if not ws:
+            bump()
+        return iter(ws)
+
+    stack = [options(0)]
+    while stack and len(found) < 720:
+        del img[len(stack) - 1:]  # retract this level's last choice
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+        elif len(img) + 1 < g.n:
+            img.append(w)
+            stack.append(options(len(img)))
+        else:
+            found.append((*img, w))
+    return found
+
+
+def _enumerate_entries(g: Graph, cap, c: int, connected_only: bool, _saturated=False, _group=(), _bump=None):
     """Yield (shared, singles): shared = tuple of (trace, mult), singles = leftover
     per-vertex counts.  Multiplicities are chosen densest-trace-first and
     counted downward, so concentrated (adversarial) instances stream early.
-    Yielded tuples are fresh objects, safe to hold.
+    Yielded tuples are fresh objects, safe to hold.  _bump is called once per
+    trace of the universe.
 
     With _saturated, only instances in which no pair trace has room are
     yielded (see the module docstring): a level whose choice leaves room on
-    a pair it settles is dropped whole, and its parent steps down."""
-    traces, n_edges = _trace_universe(g, connected_only)
+    a pair it settles is dropped whole, and its parent steps down.
+
+    With _group, automorphisms of g (vertex maps) that keep cap, only the
+    first instance of each orbit is yielded (see the module docstring): a
+    class end whose prefix has an earlier image steps down by one."""
+    traces, n_edges = _trace_universe(g, connected_only, _bump or (lambda: None))
     rem_cap = list(cap)
     rem_edge = [c] * n_edges
     chosen: list[tuple[tuple[int, ...], int]] = []
@@ -495,24 +539,53 @@ def _enumerate_entries(g: Graph, cap, c: int, connected_only: bool, _saturated: 
     # levels of pair traces that settle themselves: any multiplicity below
     # the largest leaves their pair room, so the walk never steps them down
     top_only: set[int] = set()
+    # settled[i]: with _saturated, the pair traces (u, v, edge or None) that
+    # no level after i touches, so their room is fixed once level i is set
+    settled: list[tuple] = [()] * len(traces)
     if _saturated:
-        # settled[i]: the pair traces (u, v, edge or None) that no level after
-        # i touches, so their room is fixed once level i is set
-        settled: list[list] = [[] for _ in traces]
         last = {v: i for i, (sub, _) in enumerate(traces) for v in sub}
         for i, (sub, internal) in enumerate(traces):
             if len(sub) == 2:
                 u, v = sub
                 k = max(last[u], last[v])
-                settled[k].append((u, v, internal[0] if internal else None))
+                settled[k] += ((u, v, internal[0] if internal else None),)
                 if k == i:
                     top_only.add(i)
+    # ends[i]: for a level i that ends a size class some automorphism
+    # permutes, the class's first level, the previous such end (or -1), and
+    # per automorphism an itemgetter of the class's image from ms; tied[i]:
+    # the automorphisms whose image ties the prefix up to end i
+    index = {sub: i for i, (sub, _) in enumerate(traces)} if _group else {}
+    ident = list(range(len(traces)))
+    images = ([index[tuple(sorted(s[v] for v in sub))] for sub, _ in traces] for s in _group)
+    perms = [p for p in images if p != ident]
+    ends, start, tied = {}, 0, {-1: range(len(perms))}
+    for i, (sub, _) in enumerate(traces if perms else ()):
+        if i + 1 == len(traces) or len(traces[i + 1][0]) != len(sub):
+            if any(p[start:i + 1] != ident[start:i + 1] for p in perms):
+                ends[i] = (start, max(ends, default=-1), [itemgetter(*p[start:i + 1]) for p in perms])
+            start = i + 1
+    hook = [bool(x) or i in ends for i, x in enumerate(settled)]  # levels with a check
 
     def room(i: int) -> bool:
         # some pair trace that level i settles still has room
         for u, v, e in settled[i]:
             if rem_cap[u] and rem_cap[v] and (e is None or rem_edge[e]):
                 return True
+        return False
+
+    def beaten(i: int) -> bool:
+        # level i ends a size class: does some image of the prefix come
+        # earlier in the stream, that is, is it larger on this class?
+        first, before, get = ends[i]
+        cur, keep = tuple(ms[first:]), []
+        for k in tied[before]:
+            image = get[k](ms)
+            if image > cur:
+                return True
+            if image == cur:
+                keep.append(k)
+        tied[i] = keep
         return False
 
     def set_level(i: int, m: int) -> None:
@@ -538,25 +611,33 @@ def _enumerate_entries(g: Graph, cap, c: int, connected_only: bool, _saturated: 
 
     while True:
         while len(ms) < len(traces):
-            sub, internal = traces[len(ms)]
+            i = len(ms)
+            sub, internal = traces[i]
             mmax = min(rem_cap[v] for v in sub)
             for e in internal:
                 if rem_edge[e] < mmax:
                     mmax = rem_edge[e]
-            set_level(len(ms), mmax)
-            if _saturated and room(len(ms) - 1):
-                # every smaller multiplicity here leaves at least as much room
-                clear_level()
-                break
+            set_level(i, mmax)
+            if hook[i]:
+                if room(i):
+                    # every smaller multiplicity here leaves at least as much room
+                    clear_level()
+                    break
+                if i in ends and beaten(i):
+                    break  # the step-down below tries the next multiplicity here
         else:  # every level is set and none was dropped
             yield (tuple(chosen), tuple(rem_cap))
         while ms:
             m = clear_level()
-            if m > 0 and len(ms) not in top_only:
-                set_level(len(ms), m - 1)
-                if not (_saturated and room(len(ms) - 1)):
+            i = len(ms)
+            if m > 0 and i not in top_only:
+                set_level(i, m - 1)
+                if not hook[i]:
                     break
-                clear_level()
+                if room(i):
+                    clear_level()
+                elif not (i in ends and beaten(i)):
+                    break
         else:
             return
 
@@ -618,40 +699,40 @@ def decide_choosable(
     """Is every c-separating assignment of a-lists (L,b)-colorable?
 
     free=True additionally quantifies over a precolored vertex (list size b
-    there); on annotated cycles and paths one representative per vertex
-    orbit suffices.  Instances go to the cycle or path kernel, or else to
-    the search core in decision mode; realize runs only for the returned
-    counterexample.  Only saturated instances are walked (see the module
-    docstring), so nodes_explored counts saturated instances plus core
-    nodes.
+    there), pinning one root per automorphism orbit: the first of each in
+    cycle_order, path_order, range(n).  Instances go to the cycle or path
+    kernel, or else to the search core in decision mode; realize runs only
+    for the returned counterexample.  Only saturated instances first in
+    their orbit under the root's stabiliser are walked (module docstring),
+    so nodes_explored counts them, core nodes, each root's universe and the
+    dead ends of the automorphism search.
     """
     if not (1 <= b <= a):
         raise ValueError("need 1 <= b <= a")
     if c < 0:
         raise ValueError("c must be >= 0")
-    if free:
-        if g.cycle_order is not None:
-            roots: list[int | None] = [g.cycle_order[0]]
-        elif g.path_order is not None:
-            half = (g.n + 1) // 2
-            roots = list(g.path_order[:half])
-        else:
-            roots = list(range(g.n))
-    else:
-        roots = [None]
-
     nodes = 0
+
+    def bump():
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceeded(nodes)
+
+    group = _automorphisms(g, bump)
+    cands = (g.cycle_order or ()) + (g.path_order or ()) + tuple(range(g.n)) if free else (None,)
+    # the first candidate of each orbit: no automorphism maps it to an earlier one
+    roots = [r for i, r in enumerate(cands) if not free or all(p[r] not in cands[:i] for p in group)]
+
     for r in roots:
-        cap = [a] * g.n
-        if r is not None:
-            cap[r] = b
+        cap = [b if v == r else a for v in range(g.n)]
+        stab = [p for p in group if r is None or p[r] == r]
         line = _line(g, r)
         if line is not None:
             kernel = _cycle_colorable if line[0] else _path_colorable
-        for shared, singles in _enumerate_entries(g, cap, c, connected_only=True, _saturated=True):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceeded(nodes)
+        walk = _enumerate_entries(g, cap, c, connected_only=True, _saturated=True, _group=stab, _bump=bump)
+        for shared, singles in walk:
+            bump()
             masks = _entries_to_masks(g.n, shared, singles)
             if line is not None:
                 ok = kernel([masks[v] for v in line[1]], b)

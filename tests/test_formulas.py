@@ -153,6 +153,19 @@ def test_fsep_cactus_decomposes_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("cycles, a, b", [((3, 4), 3, 1), ((3, 4), 4, 2), ((3, 3), 2, 1), ((4, 4), 2, 1)])
+def test_fsep_cactus_matches_oracle(cycles, a, b):
+    g = identify_vertices(build_cycle(cycles[0]), 0, build_cycle(cycles[1]), 0)
+    assert compute_sep(g, a, b, free=True) == fsep_cactus(g, a, b).value
+
+
+def test_outerplanar_bounds_hold_on_two_pentagons():
+    # two C5 sharing the edge {0, 1}: outerplanar with girth 5
+    edges = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (5, 6), (6, 7), (1, 7)}
+    lo, hi = fsep_outerplanar_bounds(5, 4, 2)
+    assert lo.value <= compute_sep(Graph(n=8, edges=frozenset(edges)), 4, 2, free=True) <= hi.value
+
+
 def test_outerplanar_bounds():
     lo, hi = fsep_outerplanar_bounds(5, 9, 4)
     assert (lo.value, hi.value) == (3, 4)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -23,7 +24,7 @@ from sepchoose import (
     realize,
     separation,
 )
-from sepchoose.solver import _enumerate_entries
+from sepchoose.solver import _automorphisms, _enumerate_entries
 from helpers import brute_force_colorable, brute_force_witness, random_cycle_lists
 
 F = frozenset
@@ -107,6 +108,71 @@ def test_saturated_stream_is_full_stream_without_room(data):
     full = list(_enumerate_entries(g, cap, c, connected_only))
     saturated = list(_enumerate_entries(g, cap, c, connected_only, _saturated=True))
     assert saturated == [x for x in full if not _has_room(g, connected_only, c, *x)]
+
+
+def _brute_automorphisms(g, fixed=None):
+    return [p for p in itertools.permutations(range(g.n))
+            if all((min(p[u], p[v]), max(p[u], p[v])) in g.edges for u, v in g.edges)
+            and (fixed is None or p[fixed] == fixed)]
+
+
+def _first_in_orbit(stream, group):
+    """The instances of a stream that no earlier instance maps to."""
+    seen, out = set(), []
+    for shared, singles in stream:
+        key = frozenset(shared)
+        if key not in seen:
+            out.append((shared, singles))
+            seen.update(frozenset((tuple(sorted(p[v] for v in sub)), m) for sub, m in shared) for p in group)
+    return out
+
+
+@seed(20201019)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_orbit_stream_is_saturated_stream_first_in_orbit(data):
+    # orderly pruning keeps exactly the first instance of each orbit of the
+    # saturated stream under Aut(G), or the pin's stabiliser, in stream order
+    n = data.draw(st.integers(1, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = _graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    a = data.draw(st.integers(1, 3))
+    c = data.draw(st.integers(0, a))
+    cap = [a] * n
+    pinned = data.draw(st.none() | st.integers(0, n - 1))
+    if pinned is not None:
+        cap[pinned] = data.draw(st.integers(1, a))
+    connected_only = data.draw(st.booleans())
+    assert sorted(_automorphisms(g, lambda: None)) == _brute_automorphisms(g)
+    group = _brute_automorphisms(g, pinned)
+    saturated = list(_enumerate_entries(g, cap, c, connected_only, _saturated=True))
+    orderly = list(_enumerate_entries(g, cap, c, connected_only, _saturated=True, _group=group))
+    assert orderly == _first_in_orbit(saturated, group)
+
+
+def test_orbit_roots_of_a_rotated_cycle_start_at_its_order():
+    g = Graph(n=5, edges=build_cycle(5).edges, cycle_order=(2, 3, 4, 0, 1))
+    out = decide_choosable(g, 2, 1, 2, free=True)
+    assert not out.colorable and out.counterexample.precolored == 2
+    assert not color_with_lists(out.counterexample, 1).colorable
+
+
+@pytest.mark.parametrize("free", [False, True])
+def test_budget_bounds_the_trace_universe(free):
+    # C_30 has 871 connected traces and 2^30 vertex subsets; the budget
+    # error must come from the eleventh trace, before any instance
+    with pytest.raises(BudgetExceeded) as ei:
+        decide_choosable(build_cycle(30), 3, 1, 2, free=free, budget=10)
+    assert ei.value.nodes_explored == 11
+
+
+def test_budget_charges_the_automorphism_search():
+    # a triangle with a pendant path: mapping vertex 0 to 3 is a dead end,
+    # which costs the first node, before any trace is built
+    g = Graph(n=5, edges=frozenset({(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)}))
+    with pytest.raises(BudgetExceeded) as ei:
+        decide_choosable(g, 2, 1, 1, budget=0)
+    assert ei.value.nodes_explored == 1
 
 
 def test_enumeration_handles_large_loose_universe():
