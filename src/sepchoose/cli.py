@@ -65,7 +65,10 @@ def _budget_from(args) -> int | None:
     raw = args.budget
     if raw is None:
         env = os.environ.get("SEPCHOOSE_BUDGET")
-        raw = int(env) if env else DEFAULT_BUDGET
+        try:
+            raw = int(env) if env else DEFAULT_BUDGET
+        except ValueError:
+            raise SystemExit2(f"SEPCHOOSE_BUDGET: expected an integer, got {env!r}") from None
     return None if raw <= 0 else raw
 
 

@@ -136,68 +136,34 @@ def _is_complete(g: Graph) -> bool:
     return len(g.edges) == g.n * (g.n - 1) // 2
 
 
-def _alpha_on_positions(positions: list[int], length: int, cyclic: bool) -> int:
-    """Independence number of the induced pattern inside a path or cycle span.
-
-    `positions` are sorted indices into a span of `length` consecutive
-    vertices; consecutive indices are adjacent, and with cyclic=True
-    position length-1 also touches position 0.
-    """
-    if not positions:
-        return 0
-    if not cyclic or length == 1:
-        total = 0
-        run = 1
-        for prev, cur in zip(positions, positions[1:]):
-            if cur == prev + 1:
-                run += 1
-            else:
-                total += (run + 1) // 2
-                run = 1
-        total += (run + 1) // 2
-        return total
-    if len(positions) == length:
-        return length // 2
-    # rotate so the pattern starts just after a gap, then treat as linear runs
-    present = set(positions)
-    start = next(i for i in range(length) if i in present and (i - 1) % length not in present)
-    total = 0
-    run = 0
-    for off in range(length):
-        i = (start + off) % length
-        if i in present:
-            run += 1
-        elif run:
-            total += (run + 1) // 2
-            run = 0
-    if run:
-        total += (run + 1) // 2
-    return total
-
-
 def amplitude_sigma(L: ListAssignment, i: int, j: int) -> int:
-    """Sum over colors of the independence number inside span x_i..x_j (1-based)."""
+    """Sum over colors of the independence number inside span x_i..x_j
+    (1-based): each run of k consecutive vertices listing a color adds
+    ceil(k / 2).  On the whole cycle the run through the wrap point counts
+    once, and a color on every vertex adds n // 2.  In a complete graph
+    each color adds 1."""
     g = L.graph
     order, cyclic = _span_order(g)
-    n = g.n
-    if not (1 <= i <= j <= n):
+    if not (1 <= i <= j <= g.n):
         raise ValueError("need 1 <= i <= j <= n")
-    span = order[i - 1 : j]
-    length = len(span)
-    whole_cycle = cyclic and length == n
-    if _is_complete(g) and g.cycle_order is None:
-        cols = set()
-        for v in span:
-            cols |= L.lists[v]
-        return len(cols)
-    occ: dict[int, list[int]] = {}
-    for k, v in enumerate(span):
-        for c in L.lists[v]:
-            occ.setdefault(c, []).append(k)
-    total = 0
-    for positions in occ.values():
-        total += _alpha_on_positions(positions, length, whole_cycle)
-    return total
+    lists = [L.lists[v] for v in order[i - 1 : j]]
+    if _is_complete(g):
+        return len(frozenset().union(*lists))
+    runs: dict[int, list[int]] = {}
+    for k, lst in enumerate(lists):
+        for c in lst:
+            if k and c in lists[k - 1]:
+                runs[c][-1] += 1
+            else:
+                runs.setdefault(c, []).append(1)
+    if cyclic and len(lists) == g.n:
+        for c in lists[0] & lists[-1]:
+            lens = runs[c]
+            if len(lens) > 1:
+                lens[0] += lens.pop()
+            else:
+                lens[0] -= 1  # ceil((n - 1) / 2) == n // 2
+    return sum((k + 1) // 2 for lens in runs.values() for k in lens)
 
 
 def _path_deficit(lists, b: int):

@@ -9,7 +9,7 @@ effective masks): a component's subproblem is fixed by its lists minus the
 colors of its colored neighbours.  A graph's path or cycle annotation is
 read in one place, _line: a graph annotated as one path or cycle goes
 straight to its kernel before any search machinery is built, and
-decide_choosable calls the kernel itself on each instance of such a graph.
+decide_choosable sends each instance of such a graph to _on_line itself.
 Decision mode, behind decide_with_lists, returns only the verdict; it
 trusts a kernel's "yes" and memoizes successes as well as failures.
 Witness mode, behind color_with_lists, builds the lex-least coloring and
@@ -23,6 +23,12 @@ colors the path that is left (_cycle_witness).  Frozenset lists appear
 only at the public edges.  The search runs on an explicit stack of
 generators, one per open component, so its depth is bounded by memory, not
 by the interpreter's recursion limit, which it never touches.
+
+Each public call keeps one node count (_budget), and every stage charges
+it: the automorphism search, the trace universe, the enumeration, the
+kernels and the core.  compute_sep sets a graph up once (_pins: its
+automorphisms, the roots, their stabilisers and lines), so one budget
+covers its whole scan over c.
 
 Choosability enumerates list assignments up to color relabeling (trace
 multisets).  A color whose trace induces a disconnected subgraph can be
@@ -92,6 +98,21 @@ class SolveOutcome:
     witness: BColoring | None = None
     counterexample: ListAssignment | None = None
     nodes_explored: int = 0
+
+
+def _budget(limit: int | None):
+    """(bump, count): one node counter for a public call.  bump charges a
+    node and raises BudgetExceeded once more than limit are charged; count
+    reads the total."""
+    nodes = 0
+
+    def bump():
+        nonlocal nodes
+        nodes += 1
+        if limit is not None and nodes > limit:
+            raise BudgetExceeded(nodes)
+
+    return bump, lambda: nodes
 
 
 def _subsets(mask: int, k: int):
@@ -288,10 +309,11 @@ def _on_line(shape, masks, b: int, want_witness: bool, bump):
     return None if chosen is None else dict(zip(order, chosen))
 
 
-def _solve_masks(g: Graph, masks, b: int, budget: int | None, want_witness: bool):
+def _solve_masks(g: Graph, masks, b: int, bump, want_witness: bool):
     """Can every vertex v take b colors of masks[v], adjacent vertices
-    disjoint?  Returns (colorable, nodes, phimask); phimask maps vertices to
-    their chosen color masks and is None unless want_witness and colorable.
+    disjoint?  Returns (colorable, phimask); phimask maps vertices to their
+    chosen color masks and is None unless want_witness and colorable.  Each
+    search node and each kernel call charges bump.
     A graph annotated as a path or cycle (_line) goes straight to its
     kernel, without the split, the memo or the search stack.
 
@@ -302,18 +324,10 @@ def _solve_masks(g: Graph, masks, b: int, budget: int | None, want_witness: bool
     mode so is its "yes": sibling components are never adjacent, so nothing
     reads the colors it leaves unset.  Its callers check that b >= 1.
     """
-    nodes = 0
-
-    def bump():
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceeded(nodes)
-
     whole = _line(g)
     if whole is not None:
         got = _on_line(whole, masks, b, want_witness, bump)
-        return bool(got), nodes, (got if want_witness else None)
+        return bool(got), (got if want_witness else None)
     adj = g.adj
     phimask: dict[int, int] = {}
     memo: dict = {}
@@ -403,7 +417,7 @@ def _solve_masks(g: Graph, masks, b: int, budget: int | None, want_witness: bool
         return verdict
 
     ok = all(run(comp) for comp in split(tuple(range(len(masks)))))
-    return ok, nodes, (phimask if ok and want_witness else None)
+    return ok, (phimask if ok and want_witness else None)
 
 
 def _lists_to_masks(lists) -> tuple[list, list[int]]:
@@ -425,11 +439,12 @@ def _solve_lists(L: ListAssignment, b: int, budget: int | None, want_witness: bo
         # phi(r) = L(r) is unsatisfiable at size b
         return SolveOutcome(colorable=False)
     universe, masks = _lists_to_masks(L.lists)
-    ok, nodes, phimask = _solve_masks(L.graph, masks, b, budget, want_witness)
+    bump, count = _budget(budget)
+    ok, phimask = _solve_masks(L.graph, masks, b, bump, want_witness)
     witness = None
     if phimask is not None:
         witness = _masks_to_sets(universe, [phimask[v] for v in range(len(masks))])
-    return SolveOutcome(colorable=ok, witness=witness, nodes_explored=nodes)
+    return SolveOutcome(colorable=ok, witness=witness, nodes_explored=count())
 
 
 def color_with_lists(L: ListAssignment, b: int, budget: int | None = None) -> SolveOutcome:
@@ -688,6 +703,36 @@ def _entries_to_masks(n: int, shared, singles):
     return masks
 
 
+def _pins(g: Graph, free: bool, bump) -> list[tuple]:
+    """(root, stabiliser, line) per pinned root: without free the one root
+    None and all of g's automorphisms; with it the first root of each orbit
+    in cycle_order, path_order, range(n).  line is _line(g, root)."""
+    group = _automorphisms(g, bump)
+    cands = (g.cycle_order or ()) + (g.path_order or ()) + tuple(range(g.n)) if free else (None,)
+    # the first candidate of each orbit: no automorphism maps it to an earlier one
+    roots = [r for i, r in enumerate(cands) if not free or all(p[r] not in cands[:i] for p in group)]
+    return [(r, [p for p in group if r is None or p[r] == r], _line(g, r)) for r in roots]
+
+
+def _counterexample(g: Graph, a: int, b: int, c: int, pins, bump) -> ListAssignment | None:
+    """The first c-separating instance with a-lists (b at the root) that is
+    not (L,b)-colorable, realized, or None.  Each instance is one node: the
+    cycle or path kernel's, or one before the search core's own."""
+    for r, stab, line in pins:
+        cap = [b if v == r else a for v in range(g.n)]
+        walk = _enumerate_entries(g, cap, c, connected_only=True, _saturated=True, _group=stab, _bump=bump)
+        for shared, singles in walk:
+            masks = _entries_to_masks(g.n, shared, singles)
+            if line is not None:
+                ok = _on_line(line, masks, b, False, bump)
+            else:
+                bump()
+                ok = _solve_masks(g, masks, b, bump, False)[0]
+            if not ok:
+                return realize(_entries_to_multiset(shared, singles), g, a, precolored=r)
+    return None
+
+
 def decide_choosable(
     g: Graph,
     a: int,
@@ -711,43 +756,9 @@ def decide_choosable(
         raise ValueError("need 1 <= b <= a")
     if c < 0:
         raise ValueError("c must be >= 0")
-    nodes = 0
-
-    def bump():
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceeded(nodes)
-
-    group = _automorphisms(g, bump)
-    cands = (g.cycle_order or ()) + (g.path_order or ()) + tuple(range(g.n)) if free else (None,)
-    # the first candidate of each orbit: no automorphism maps it to an earlier one
-    roots = [r for i, r in enumerate(cands) if not free or all(p[r] not in cands[:i] for p in group)]
-
-    for r in roots:
-        cap = [b if v == r else a for v in range(g.n)]
-        stab = [p for p in group if r is None or p[r] == r]
-        line = _line(g, r)
-        if line is not None:
-            kernel = _cycle_colorable if line[0] else _path_colorable
-        walk = _enumerate_entries(g, cap, c, connected_only=True, _saturated=True, _group=stab, _bump=bump)
-        for shared, singles in walk:
-            bump()
-            masks = _entries_to_masks(g.n, shared, singles)
-            if line is not None:
-                ok = kernel([masks[v] for v in line[1]], b)
-            else:
-                try:
-                    ok, inner, _ = _solve_masks(
-                        g, masks, b, None if budget is None else budget - nodes, False
-                    )
-                except BudgetExceeded as e:
-                    raise BudgetExceeded(nodes + e.nodes_explored) from None
-                nodes += inner
-            if not ok:
-                cex = realize(_entries_to_multiset(shared, singles), g, a, precolored=r)
-                return SolveOutcome(colorable=False, counterexample=cex, nodes_explored=nodes)
-    return SolveOutcome(colorable=True, nodes_explored=nodes)
+    bump, count = _budget(budget)
+    cex = _counterexample(g, a, b, c, _pins(g, free, bump), bump)
+    return SolveOutcome(colorable=cex is None, counterexample=cex, nodes_explored=count())
 
 
 def compute_sep(
@@ -759,18 +770,13 @@ def compute_sep(
 ) -> int:
     """Largest c in [0, a] such that g is (a,b,c)-choosable (free variant
     optional).  Scans c downward; choosability is monotone decreasing in c,
-    so the first success is the answer."""
+    so the first success is the answer.  One budget covers the whole scan,
+    and the automorphism search and the roots are set up once."""
     if not (1 <= b <= a):
         raise ValueError("need 1 <= b <= a")
-    spent = 0
+    bump, _ = _budget(budget)
+    pins = _pins(g, free, bump)
     for c in range(a, -1, -1):
-        try:
-            out = decide_choosable(
-                g, a, b, c, free=free, budget=None if budget is None else budget - spent
-            )
-        except BudgetExceeded as e:
-            raise BudgetExceeded(spent + e.nodes_explored) from None
-        spent += out.nodes_explored
-        if out.colorable:
+        if _counterexample(g, a, b, c, pins, bump) is None:
             return c
     raise AssertionError("c = 0 must be choosable when a >= b")

@@ -163,6 +163,15 @@ def test_budget_env_variable(capsys, tmp_path, monkeypatch):
     assert out == "3\n"
 
 
+@pytest.mark.parametrize("raw", ["abc", "1e3", " "])
+def test_budget_env_variable_malformed(capsys, tmp_path, monkeypatch, raw):
+    gpath = write_json(tmp_path / "c4.json", build_cycle(4).to_json_dict())
+    monkeypatch.setenv("SEPCHOOSE_BUDGET", raw)
+    rc, out, err = run(capsys, "solve", "sep", "--graph", gpath, "--a", "3", "--b", "1")
+    assert (rc, out) == (2, "")
+    assert err == f"error: SEPCHOOSE_BUDGET: expected an integer, got {raw!r}\n"
+
+
 # --- adversary and verify -----------------------------------------------------
 
 def test_adversary_verify_round_trip(capsys, tmp_path):

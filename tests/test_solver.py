@@ -20,6 +20,7 @@ from sepchoose import (
     decide_choosable,
     decide_with_lists,
     enumerate_canonical,
+    identify_vertices,
     is_valid_coloring,
     realize,
     separation,
@@ -30,6 +31,10 @@ from helpers import brute_force_colorable, brute_force_witness, random_cycle_lis
 F = frozenset
 
 K4E = Graph(n=4, edges=F({(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}))
+C3C4 = identify_vertices(build_cycle(3), 0, build_cycle(4), 0)
+# a triangle with a pendant path: mapping vertex 0 to 3 is a dead end of
+# the automorphism search
+TRI_PENDANT = Graph(n=5, edges=F({(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)}))
 
 
 # --- canonical enumeration -------------------------------------------------
@@ -167,11 +172,9 @@ def test_budget_bounds_the_trace_universe(free):
 
 
 def test_budget_charges_the_automorphism_search():
-    # a triangle with a pendant path: mapping vertex 0 to 3 is a dead end,
-    # which costs the first node, before any trace is built
-    g = Graph(n=5, edges=frozenset({(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)}))
+    # the search's dead end costs the first node, before any trace is built
     with pytest.raises(BudgetExceeded) as ei:
-        decide_choosable(g, 2, 1, 1, budget=0)
+        decide_choosable(TRI_PENDANT, 2, 1, 1, budget=0)
     assert ei.value.nodes_explored == 1
 
 
@@ -364,6 +367,53 @@ def test_compute_sep_budget_sums_across_c():
         with pytest.raises(BudgetExceeded) as ei:
             compute_sep(K4E, 4, 2, budget=budget)
         assert ei.value.nodes_explored > budget
+
+
+def test_compute_sep_sets_each_graph_up_once():
+    # the scan tries c = 2 (fails) and c = 1 (succeeds); the automorphism
+    # search's dead end is charged once for both, not once per c
+    per_c = [decide_choosable(TRI_PENDANT, 2, 1, c).nodes_explored for c in (2, 1)]
+    assert sum(per_c) - 1 == 59
+    assert compute_sep(TRI_PENDANT, 2, 1, budget=59) == 1
+    with pytest.raises(BudgetExceeded) as ei:
+        compute_sep(TRI_PENDANT, 2, 1, budget=58)
+    assert ei.value.nodes_explored == 59
+
+
+@pytest.mark.parametrize("g, a, b, c, free, colorable, nodes", [
+    (build_cycle(5), 3, 1, 2, False, True, 69),
+    (build_cycle(5), 3, 1, 2, True, True, 66),
+    (K4E, 3, 2, 1, False, False, 36),
+    (K4E, 3, 2, 1, True, False, 16),
+    (C3C4, 2, 1, 1, False, True, 206),
+    (C3C4, 2, 1, 1, True, False, 49),
+])
+def test_decide_node_counts_frozen(g, a, b, c, free, colorable, nodes):
+    out = decide_choosable(g, a, b, c, free=free)
+    assert (out.colorable, out.nodes_explored) == (colorable, nodes)
+    assert decide_choosable(g, a, b, c, free=free, budget=nodes).nodes_explored == nodes
+    with pytest.raises(BudgetExceeded) as ei:
+        decide_choosable(g, a, b, c, free=free, budget=nodes - 1)
+    assert ei.value.nodes_explored == nodes
+
+
+C5_LISTS = ListAssignment(
+    graph=build_cycle(5), lists=(F({0, 1, 2}), F({1, 2, 3}), F({0, 2, 3}), F({0, 1, 3}), F({1, 2, 3})), a=3
+)
+K4E_LISTS = ListAssignment(graph=K4E, lists=(F({0, 1, 2, 3}), F({0, 1, 4, 5}), F({2, 3, 4, 5}), F({0, 1, 2, 3})), a=4)
+
+
+@pytest.mark.parametrize("L, b, witness, color_nodes, decide_nodes", [
+    (C5_LISTS, 1, ({0}, {1}, {0}, {1}, {2}), 6, 1),
+    (C5_LISTS, 2, None, 7, 1),
+    (K4E_LISTS, 2, ({0, 1}, {4, 5}, {2, 3}, {0, 1}), 5, 2),
+])
+def test_list_coloring_node_counts_frozen(L, b, witness, color_nodes, decide_nodes):
+    out = color_with_lists(L, b)
+    assert out.witness == (None if witness is None else tuple(map(F, witness)))
+    assert out.nodes_explored == color_nodes
+    dec = decide_with_lists(L, b)
+    assert (dec.colorable, dec.nodes_explored) == (witness is not None, decide_nodes)
 
 
 def test_decide_counterexample_reverifies():
