@@ -41,29 +41,16 @@ class ListAssignment:
     precolored: int | None = None
 
     def __post_init__(self):
-        g = self.graph
-        if len(self.lists) != g.n:
+        if len(self.lists) != self.graph.n:
             raise ValueError("one list per vertex required")
-        if self.a < 1:
-            raise ValueError("a must be positive")
-        if self.precolored is not None and not (0 <= self.precolored < g.n):
-            raise ValueError("precolored vertex out of range")
-        ends = set()
-        if g.path_order is not None and g.n >= 2:
-            ends = {g.path_order[0], g.path_order[-1]}
-        for v, L in enumerate(self.lists):
-            if not L:
-                raise ValueError(f"empty list at vertex {v}")
-            if any(c < 0 for c in L):
-                raise ValueError("colors must be non-negative ints")
-            if len(L) > self.a:
-                raise ValueError(f"list at vertex {v} larger than a={self.a}")
-            if len(L) < self.a and v != self.precolored and v not in ends:
-                raise ValueError(f"short list at interior vertex {v}")
+        _check_sizes(self.graph, [len(L) for L in self.lists], self.a, self.precolored)
+        if any(c < 0 for L in self.lists for c in L):
+            raise ValueError("colors must be non-negative ints")
 
     @classmethod
     def _trusted(cls, graph: Graph, lists: tuple[ColorSet, ...], a: int, precolored: int | None):
-        """Build unchecked, for a reader that checked the structure; `verify_certificate` judges sizes."""
+        """Build unchecked, for a reader that checked the structure (`verify_certificate`
+        judges sizes) and for realize, which checks the sizes itself."""
         obj = object.__new__(cls)
         obj.__dict__.update(graph=graph, lists=lists, a=a, precolored=precolored)
         return obj
@@ -73,6 +60,22 @@ class ListAssignment:
         if self.precolored is not None:
             d["precolored"] = {"vertex": self.precolored}
         return d
+
+
+def _check_sizes(g: Graph, sizes, a: int, precolored: int | None) -> None:
+    """The checks a list assignment makes that depend on its list sizes only."""
+    if a < 1:
+        raise ValueError("a must be positive")
+    if precolored is not None and not (0 <= precolored < g.n):
+        raise ValueError("precolored vertex out of range")
+    ends = {g.path_order[0], g.path_order[-1]} if g.path_order is not None and g.n >= 2 else ()
+    for v, k in enumerate(sizes):
+        if not k:
+            raise ValueError(f"empty list at vertex {v}")
+        if k > a:
+            raise ValueError(f"list at vertex {v} larger than a={a}")
+        if k < a and v != precolored and v not in ends:
+            raise ValueError(f"short list at interior vertex {v}")
 
 
 _ASSIGNMENT = {"lists": [[0]], "precolored?": {"vertex": 0}}
@@ -248,6 +251,13 @@ class TraceMultiset:
         if list(self.entries) != sorted(self.entries):
             raise ValueError("entries must be sorted")
 
+    @classmethod
+    def _trusted(cls, entries):
+        """Build unchecked, for the enumerator, whose entries are valid by construction."""
+        obj = object.__new__(cls)
+        obj.__dict__["entries"] = entries
+        return obj
+
 
 def canonicalize(L: ListAssignment) -> TraceMultiset:
     traces: dict[tuple[int, ...], int] = {}
@@ -262,17 +272,19 @@ def canonicalize(L: ListAssignment) -> TraceMultiset:
 
 
 def realize(t: TraceMultiset, graph: Graph, a: int, precolored: int | None = None) -> ListAssignment:
-    """Concrete assignment for a trace multiset; colors are 0,1,2,... in entry order."""
-    lists = [set() for _ in range(graph.n)]
+    """Concrete assignment for a trace multiset; colors are 0,1,2,... in entry
+    order.  A vertex's list size is its mass, so the size checks of
+    ListAssignment run once on the masses, and a trace vertex outside the
+    graph is rejected in the same pass."""
+    lists: list[list[int]] = [[] for _ in range(graph.n)]
     nxt = 0
     for trace, cnt in t.entries:
-        for _ in range(cnt):
-            for v in trace:
-                lists[v].add(nxt)
-            nxt += 1
-    return ListAssignment(
-        graph=graph,
-        lists=tuple(frozenset(s) for s in lists),
-        a=a,
-        precolored=precolored,
-    )
+        for v in (trace[0], trace[-1]):  # traces are sorted
+            if not 0 <= v < graph.n:
+                raise ValueError(f"trace vertex {v} is not a vertex of the graph (n = {graph.n})")
+        colors = range(nxt, nxt + cnt)
+        for v in trace:
+            lists[v] += colors
+        nxt += cnt
+    _check_sizes(graph, [len(L) for L in lists], a, precolored)
+    return ListAssignment._trusted(graph, tuple(map(frozenset, lists)), a, precolored)

@@ -27,8 +27,8 @@ by the interpreter's recursion limit, which it never touches.
 Each public call keeps one node count (_budget), and every stage charges
 it: the automorphism search, the trace universe, the enumeration, the
 kernels and the core.  compute_sep sets a graph up once (_pins: its
-automorphisms, the roots, their stabilisers and lines), so one budget
-covers its whole scan over c.
+automorphisms, the roots, their stabilisers and lines) and each root's
+level plan on its first use, so one budget covers its whole scan over c.
 
 Choosability enumerates list assignments up to color relabeling (trace
 multisets).  A color whose trace induces a disconnected subgraph can be
@@ -36,6 +36,15 @@ split into one fresh color per component without changing colorability,
 list sizes, edge intersections, or amplitude sums, so decide_choosable
 scans connected traces only; enumerate_canonical keeps full generality
 (connected_only=False) since its contract is "every multiset".
+
+The enumeration walks a level plan built once per call: one level per
+trace, densest first, with the slots the trace draws on (its vertices'
+mass, its internal edges' room) and the level's hooks, the room and orbit
+checks below.  Only nonzero levels go on the stack, a mask of used-up
+slots makes a level that touches one cost one AND, and a step-down pops
+the deepest nonzero level.  A hooked level forced to 0 still runs its
+check: the pairs it settles may have room, and its size class may have an
+earlier image, whatever its own multiplicity.
 
 decide_choosable also skips every instance that an earlier one dominates.
 A pair trace {u,v} has room when u and v each keep a single (a private
@@ -67,7 +76,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from operator import itemgetter
 
 from .graphs import Graph
@@ -476,11 +485,11 @@ def _color_path(lists, ranks, b: int) -> BColoring | None:
 
 
 def _trace_universe(g: Graph, connected_only: bool, bump):
-    """Candidate shared traces (size >= 2), densest first; singletons are
+    """Candidate shared traces (size >= 2), densest first, each with its
+    slots: its vertices, then n + e per edge e inside it; singletons are
     slack.  Connected traces grow from single vertices one neighbour at a
     time, so no disconnected set is built, and each costs one bump."""
-    edges = sorted(g.edges)
-    eidx = {e: i for i, e in enumerate(edges)}
+    eidx = {e: g.n + i for i, e in enumerate(sorted(g.edges))}
     if connected_only:
         subs, layer = [], [(v,) for v in range(g.n)]
     else:
@@ -496,7 +505,7 @@ def _trace_universe(g: Graph, connected_only: bool, bump):
         layer = list(grown)
         subs += layer
     subs.sort(key=lambda t: (-len(t), t))
-    return [(t, tuple([eidx[p] for p in itertools.combinations(t, 2) if p in eidx])) for t in subs], len(edges)
+    return [(t, t + tuple([eidx[p] for p in itertools.combinations(t, 2) if p in eidx])) for t in subs]
 
 
 def _automorphisms(g: Graph, bump) -> list[tuple[int, ...]]:
@@ -530,62 +539,60 @@ def _automorphisms(g: Graph, bump) -> list[tuple[int, ...]]:
     return found
 
 
-def _enumerate_entries(g: Graph, cap, c: int, connected_only: bool, _saturated=False, _group=(), _bump=None):
-    """Yield (shared, singles): shared = tuple of (trace, mult), singles = leftover
-    per-vertex counts.  Multiplicities are chosen densest-trace-first and
-    counted downward, so concentrated (adversarial) instances stream early.
-    Yielded tuples are fresh objects, safe to hold.  _bump is called once per
-    trace of the universe.
-
-    With _saturated, only instances in which no pair trace has room are
-    yielded (see the module docstring): a level whose choice leaves room on
-    a pair it settles is dropped whole, and its parent steps down.
-
-    With _group, automorphisms of g (vertex maps) that keep cap, only the
-    first instance of each orbit is yielded (see the module docstring): a
-    class end whose prefix has an earlier image steps down by one."""
-    traces, n_edges = _trace_universe(g, connected_only, _bump or (lambda: None))
-    rem_cap = list(cap)
-    rem_edge = [c] * n_edges
-    chosen: list[tuple[tuple[int, ...], int]] = []
-    # explicit stack of per-level multiplicities: the universe can exceed the
-    # interpreter's recursion depth on loose (disconnected-trace) enumerations
-    ms: list[int] = []
-    # levels of pair traces that settle themselves: any multiplicity below
-    # the largest leaves their pair room, so the walk never steps them down
-    top_only: set[int] = set()
-    # settled[i]: with _saturated, the pair traces (u, v, edge or None) that
-    # no level after i touches, so their room is fixed once level i is set
+def _level_plan(g: Graph, connected_only: bool, bump, saturated=False, group=()):
+    """Per level of one walk: its trace, slots, slot mask and hooks.  With
+    saturated, settled[i] holds the pair traces (u, v, edge slot or None)
+    that no later level touches, and top_only the pair levels that settle
+    themselves (below the largest multiplicity their pair has room).  With
+    group (vertex maps), ends[i] holds, at a level that ends a size class
+    some automorphism permutes, the class's first level, the previous such
+    end (or -1) and an itemgetter of the class's image per automorphism."""
+    traces = _trace_universe(g, connected_only, bump)
     settled: list[tuple] = [()] * len(traces)
-    if _saturated:
+    top_only: set[int] = set()
+    if saturated:
         last = {v: i for i, (sub, _) in enumerate(traces) for v in sub}
-        for i, (sub, internal) in enumerate(traces):
+        for i, (sub, slots) in enumerate(traces):
             if len(sub) == 2:
-                u, v = sub
-                k = max(last[u], last[v])
-                settled[k] += ((u, v, internal[0] if internal else None),)
+                k = max(last[sub[0]], last[sub[1]])
+                settled[k] += ((*sub, slots[2] if len(slots) > 2 else None),)
                 if k == i:
                     top_only.add(i)
-    # ends[i]: for a level i that ends a size class some automorphism
-    # permutes, the class's first level, the previous such end (or -1), and
-    # per automorphism an itemgetter of the class's image from ms; tied[i]:
-    # the automorphisms whose image ties the prefix up to end i
-    index = {sub: i for i, (sub, _) in enumerate(traces)} if _group else {}
+    index = {sub: i for i, (sub, _) in enumerate(traces)} if group else {}
     ident = list(range(len(traces)))
-    images = ([index[tuple(sorted(s[v] for v in sub))] for sub, _ in traces] for s in _group)
+    images = ([index[tuple(sorted(s[v] for v in sub))] for sub, _ in traces] for s in group)
     perms = [p for p in images if p != ident]
-    ends, start, tied = {}, 0, {-1: range(len(perms))}
+    ends, start = {}, 0
     for i, (sub, _) in enumerate(traces if perms else ()):
         if i + 1 == len(traces) or len(traces[i + 1][0]) != len(sub):
             if any(p[start:i + 1] != ident[start:i + 1] for p in perms):
                 ends[i] = (start, max(ends, default=-1), [itemgetter(*p[start:i + 1]) for p in perms])
             start = i + 1
-    hook = [bool(x) or i in ends for i, x in enumerate(settled)]  # levels with a check
+    hook = [bool(x) or i in ends for i, x in enumerate(settled)]
+    return ([t for t, _ in traces], [s for _, s in traces], [sum(1 << x for x in s) for _, s in traces],
+            len(g.edges), settled, top_only, ends, hook, range(len(perms)))
+
+
+def _enumerate_entries(plan, cap, c: int):
+    """Yield (shared, singles) for a _level_plan: shared = tuple of (trace,
+    mult), singles = leftover per-vertex counts.  Multiplicities are chosen
+    densest-trace-first and counted downward, so concentrated (adversarial)
+    instances stream early.  Yielded tuples are fresh objects, safe to hold.
+    A saturated plan drops a level whose choice leaves room on a pair it
+    settles, and its parent steps down; at a class end whose prefix has an
+    earlier image, a plan with a group steps down by one."""
+    subs, slots, masks, n_edges, settled, top_only, ends, hook, tied0 = plan
+    n, depth = len(cap), len(subs)
+    rem = list(cap) + [c] * n_edges
+    spent = sum(1 << x for x, k in enumerate(rem) if not k)
+    mult = [0] * depth  # every level's multiplicity, 0 where unset
+    chosen, at = [], []  # (trace, multiplicity) and level of each nonzero level
+    tied = {-1: tied0}  # tied[i]: the automorphisms whose image ties the prefix up to end i
 
     def room(i: int) -> bool:
         # some pair trace that level i settles still has room
         for u, v, e in settled[i]:
-            if rem_cap[u] and rem_cap[v] and (e is None or rem_edge[e]):
+            if rem[u] and rem[v] and (e is None or rem[e]):
                 return True
         return False
 
@@ -593,9 +600,9 @@ def _enumerate_entries(g: Graph, cap, c: int, connected_only: bool, _saturated=F
         # level i ends a size class: does some image of the prefix come
         # earlier in the stream, that is, is it larger on this class?
         first, before, get = ends[i]
-        cur, keep = tuple(ms[first:]), []
+        cur, keep = tuple(mult[first:i + 1]), []
         for k in tied[before]:
-            image = get[k](ms)
+            image = get[k](mult)
             if image > cur:
                 return True
             if image == cur:
@@ -603,66 +610,48 @@ def _enumerate_entries(g: Graph, cap, c: int, connected_only: bool, _saturated=F
         tied[i] = keep
         return False
 
-    def set_level(i: int, m: int) -> None:
-        if m:
-            sub, internal = traces[i]
-            for v in sub:
-                rem_cap[v] -= m
-            for e in internal:
-                rem_edge[e] -= m
-            chosen.append((sub, m))
-        ms.append(m)
-
-    def clear_level() -> int:
-        m = ms.pop()
-        if m:
-            sub, internal = traces[len(ms)]
-            for v in sub:
-                rem_cap[v] += m
-            for e in internal:
-                rem_edge[e] += m
-            chosen.pop()
-        return m
-
+    i = 0
     while True:
-        while len(ms) < len(traces):
-            i = len(ms)
-            sub, internal = traces[i]
-            mmax = min(rem_cap[v] for v in sub)
-            for e in internal:
-                if rem_edge[e] < mmax:
-                    mmax = rem_edge[e]
-            set_level(i, mmax)
-            if hook[i]:
-                if room(i):
-                    # every smaller multiplicity here leaves at least as much room
-                    clear_level()
-                    break
-                if i in ends and beaten(i):
-                    break  # the step-down below tries the next multiplicity here
+        for i in range(i, depth):  # each level at its largest multiplicity
+            if not masks[i] & spent:
+                s = slots[i]
+                m = min(map(rem.__getitem__, s))
+                for x in s:
+                    if rem[x] == m:
+                        spent |= 1 << x
+                    rem[x] -= m
+                mult[i] = m
+                chosen.append((subs[i], m))
+                at.append(i)
+            if hook[i] and (room(i) or i in ends and beaten(i)):
+                break  # the step-down below drops this level or tries its next multiplicity
         else:  # every level is set and none was dropped
-            yield (tuple(chosen), tuple(rem_cap))
-        while ms:
-            m = clear_level()
-            i = len(ms)
-            if m > 0 and i not in top_only:
-                set_level(i, m - 1)
-                if not hook[i]:
-                    break
-                if room(i):
-                    clear_level()
-                elif not (i in ends and beaten(i)):
-                    break
+            yield tuple(chosen), tuple(rem[:n])
+        while at:  # step down the deepest nonzero level
+            i = at[-1]
+            spent &= ~masks[i]
+            # with room, every smaller multiplicity leaves at least as much,
+            # so the level goes whole
+            whole = i in top_only or settled[i] and room(i)
+            k = mult[i] if whole else 1
+            for x in slots[i]:
+                rem[x] += k
+            m = mult[i] = mult[i] - k
+            if m:
+                chosen[-1] = (subs[i], m)
+            else:
+                chosen.pop()
+                at.pop()
+            if not (whole or hook[i] and (room(i) or i in ends and beaten(i))):
+                i += 1
+                break
         else:
             return
 
 
 def _entries_to_multiset(shared, singles) -> TraceMultiset:
-    entries = {sub: m for sub, m in shared}
-    for v, k in enumerate(singles):
-        if k:
-            entries[(v,)] = k
-    return TraceMultiset(entries=tuple(sorted(entries.items())))
+    # traces are distinct, so sorting never compares multiplicities
+    return TraceMultiset._trusted(tuple(sorted(shared + tuple(((v,), k) for v, k in enumerate(singles) if k))))
 
 
 def enumerate_canonical(
@@ -684,7 +673,7 @@ def enumerate_canonical(
         if not (0 <= precolored < g.n):
             raise ValueError("precolored vertex out of range")
         cap[precolored] = b
-    for shared, singles in _enumerate_entries(g, cap, c, connected_only):
+    for shared, singles in _enumerate_entries(_level_plan(g, connected_only, lambda: None), cap, c):
         yield _entries_to_multiset(shared, singles)
 
 
@@ -704,24 +693,27 @@ def _entries_to_masks(n: int, shared, singles):
 
 
 def _pins(g: Graph, free: bool, bump) -> list[tuple]:
-    """(root, stabiliser, line) per pinned root: without free the one root
-    None and all of g's automorphisms; with it the first root of each orbit
-    in cycle_order, path_order, range(n).  line is _line(g, root)."""
+    """(root, plan, line) per pinned root: without free the one root None
+    under all of g's automorphisms; with it the first root of each orbit in
+    cycle_order, path_order, range(n) under its stabiliser.  plan() is the
+    saturated, orbit-pruned _level_plan, built and charged on its first
+    call only, so a scan over c sets each root up once.  line is
+    _line(g, root)."""
     group = _automorphisms(g, bump)
     cands = (g.cycle_order or ()) + (g.path_order or ()) + tuple(range(g.n)) if free else (None,)
     # the first candidate of each orbit: no automorphism maps it to an earlier one
     roots = [r for i, r in enumerate(cands) if not free or all(p[r] not in cands[:i] for p in group)]
-    return [(r, [p for p in group if r is None or p[r] == r], _line(g, r)) for r in roots]
+    return [(r, cache(partial(_level_plan, g, True, bump, True, [p for p in group if r is None or p[r] == r])),
+             _line(g, r)) for r in roots]
 
 
 def _counterexample(g: Graph, a: int, b: int, c: int, pins, bump) -> ListAssignment | None:
     """The first c-separating instance with a-lists (b at the root) that is
     not (L,b)-colorable, realized, or None.  Each instance is one node: the
     cycle or path kernel's, or one before the search core's own."""
-    for r, stab, line in pins:
+    for r, plan, line in pins:
         cap = [b if v == r else a for v in range(g.n)]
-        walk = _enumerate_entries(g, cap, c, connected_only=True, _saturated=True, _group=stab, _bump=bump)
-        for shared, singles in walk:
+        for shared, singles in _enumerate_entries(plan(), cap, c):
             masks = _entries_to_masks(g.n, shared, singles)
             if line is not None:
                 ok = _on_line(line, masks, b, False, bump)

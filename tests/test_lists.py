@@ -205,6 +205,27 @@ def test_realize_round_trip_preserves_separation():
         assert canonicalize(R) == canonicalize(L)
 
 
+@pytest.mark.parametrize("entries, vertex", [((((-1, 0, 1), 1),), -1), ((((0, 3), 1),), 3)])
+def test_realize_rejects_trace_vertices_outside_the_graph(entries, vertex):
+    # a negative vertex must not wrap around to the last one
+    with pytest.raises(ValueError) as err:
+        realize(TraceMultiset(entries=entries), build_path(3), 1)
+    assert str(err.value) == f"trace vertex {vertex} is not a vertex of the graph (n = 3)"
+
+
+def test_realize_checks_list_sizes():
+    # realize builds unchecked, so it makes ListAssignment's size checks itself
+    t = TraceMultiset(entries=(((0, 1), 1), ((1, 2), 1)))
+    assert realize(t, build_path(3), 2).lists == (F({0}), F({0, 1}), F({1}))
+    for a, pin, message in [(1, None, "list at vertex 1 larger than a=1"),
+                            (2, None, "short list at interior vertex 0"),
+                            (2, 3, "precolored vertex out of range"),
+                            (0, None, "a must be positive")]:
+        with pytest.raises(ValueError) as err:
+            realize(t, build_cycle(3), a, precolored=pin)
+        assert str(err.value) == message
+
+
 @pytest.mark.parametrize("payload, message", [
     ({"lists": [[0], [1, -1], [2]]}, "assignment.lists[1][1]: expected an int >= 0, got -1"),
     ({"lists": [[0], [True], [2]]}, "assignment.lists[1][0]: expected an int >= 0, got True"),

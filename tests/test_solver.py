@@ -25,7 +25,7 @@ from sepchoose import (
     realize,
     separation,
 )
-from sepchoose.solver import _automorphisms, _enumerate_entries
+from sepchoose.solver import _automorphisms, _enumerate_entries, _level_plan
 from helpers import brute_force_colorable, brute_force_witness, random_cycle_lists
 
 F = frozenset
@@ -110,8 +110,8 @@ def test_saturated_stream_is_full_stream_without_room(data):
     if pinned is not None:
         cap[pinned] = data.draw(st.integers(1, a))
     connected_only = data.draw(st.booleans())
-    full = list(_enumerate_entries(g, cap, c, connected_only))
-    saturated = list(_enumerate_entries(g, cap, c, connected_only, _saturated=True))
+    full = list(_enumerate_entries(_level_plan(g, connected_only, lambda: None), cap, c))
+    saturated = list(_enumerate_entries(_level_plan(g, connected_only, lambda: None, True), cap, c))
     assert saturated == [x for x in full if not _has_room(g, connected_only, c, *x)]
 
 
@@ -150,8 +150,8 @@ def test_orbit_stream_is_saturated_stream_first_in_orbit(data):
     connected_only = data.draw(st.booleans())
     assert sorted(_automorphisms(g, lambda: None)) == _brute_automorphisms(g)
     group = _brute_automorphisms(g, pinned)
-    saturated = list(_enumerate_entries(g, cap, c, connected_only, _saturated=True))
-    orderly = list(_enumerate_entries(g, cap, c, connected_only, _saturated=True, _group=group))
+    saturated = list(_enumerate_entries(_level_plan(g, connected_only, lambda: None, True), cap, c))
+    orderly = list(_enumerate_entries(_level_plan(g, connected_only, lambda: None, True, group), cap, c))
     assert orderly == _first_in_orbit(saturated, group)
 
 
@@ -371,13 +371,14 @@ def test_compute_sep_budget_sums_across_c():
 
 def test_compute_sep_sets_each_graph_up_once():
     # the scan tries c = 2 (fails) and c = 1 (succeeds); the automorphism
-    # search's dead end is charged once for both, not once per c
+    # search's dead end and the 13-trace universe are charged once for
+    # both, not once per c
     per_c = [decide_choosable(TRI_PENDANT, 2, 1, c).nodes_explored for c in (2, 1)]
-    assert sum(per_c) - 1 == 59
-    assert compute_sep(TRI_PENDANT, 2, 1, budget=59) == 1
+    assert sum(per_c) - 1 - 13 == 46
+    assert compute_sep(TRI_PENDANT, 2, 1, budget=46) == 1
     with pytest.raises(BudgetExceeded) as ei:
-        compute_sep(TRI_PENDANT, 2, 1, budget=58)
-    assert ei.value.nodes_explored == 59
+        compute_sep(TRI_PENDANT, 2, 1, budget=45)
+    assert ei.value.nodes_explored == 46
 
 
 @pytest.mark.parametrize("g, a, b, c, free, colorable, nodes", [

@@ -1,0 +1,104 @@
+"""Stream identity on a seeded grid.
+
+The digests below were recorded from the dense level stack that the sparse
+level plan replaced: `enumerate_canonical` on paths, cycles and the oracle
+graphs, with and without a root and for both `connected_only` values, and
+the saturated, orbit-pruned walk behind `decide_choosable` and
+`compute_sep`, free and not.  Each stream is cut at CAP instances.  A sample
+of each stream is also rebuilt through the checked constructors, so the
+enumerator's unchecked `TraceMultiset` and `realize`'s unchecked
+`ListAssignment` are shown to be valid objects.
+"""
+
+import hashlib
+import itertools
+import random
+
+import pytest
+
+from sepchoose import (
+    Graph,
+    ListAssignment,
+    TraceMultiset,
+    build_cycle,
+    build_path,
+    enumerate_canonical,
+    identify_vertices,
+    realize,
+)
+from sepchoose.solver import _entries_to_multiset, _enumerate_entries, _pins
+
+F = frozenset
+CAP = 4000
+SAMPLE = 7  # every SAMPLE-th instance is rebuilt through the checked constructors
+
+GRAPHS = {
+    "C3": build_cycle(3), "C4": build_cycle(4), "C5": build_cycle(5), "C6": build_cycle(6),
+    "P2": build_path(2), "P3": build_path(3), "P4": build_path(4), "P5": build_path(5), "P6": build_path(6),
+    "K4-e": Graph(n=4, edges=F({(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)})),
+    "C3.C3": Graph(n=5, edges=F({(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)})),
+    "C3.C4": identify_vertices(build_cycle(3), 0, build_cycle(4), 0),
+}
+
+# per graph: instances and digest of the canonical streams, then of the saturated walks
+GOLDEN = {
+    "C3": (378, "3ffc2952f40db842", 37, "a77d4dcfc273f1f7"),
+    "C4": (6297, "697426d0c2722c5f", 201, "bd50d35345ee0d30"),
+    "C5": (9712, "037a61df90fd26b3", 231, "234ac45a889e5314"),
+    "C6": (32563, "652ec468ef2a4d57", 488, "3d7c6f7b4257195d"),
+    "P2": (66, "2eaa1e478fc61551", 16, "39a882a1eb9e4570"),
+    "P3": (244, "6257a4ff4bea5fea", 58, "0651f11cdaf871a1"),
+    "P4": (1159, "83a14399ae9c7549", 88, "3dfeb2933127b42e"),
+    "P5": (12772, "539723dfe3594855", 241, "cfe0471be39f2a00"),
+    "P6": (21624, "a75266bd92d40151", 653, "33c2e056f0d4244c"),
+    "K4-e": (5108, "3a3dbc41a2b229ee", 376, "b8d5c61ae0176ab9"),
+    "C3.C3": (14808, "b0403bfec060e2bf", 520, "ad2977eef8c1a742"),
+    "C3.C4": (25597, "f59db4a848ac2aab", 2559, "16e10921bca8e90c"),
+}
+
+
+def _cells(name, g):
+    rng = random.Random(f"stream:{name}")
+    out = []
+    for _ in range(8):
+        a = rng.randint(1, max(1, min(4, 12 // g.n)))
+        b = rng.randint(1, a)
+        out.append((a, b, rng.randint(0, a), rng.randrange(g.n)))
+    return out
+
+
+def _saturated_walk(g, a, b, c, free):
+    for r, plan, _ in _pins(g, free, lambda: None):
+        cap = [b if v == r else a for v in range(g.n)]
+        for shared, singles in _enumerate_entries(plan(), cap, c):
+            yield r, shared, singles
+
+
+def _rebuild_checked(t, g, a, root):
+    # the unchecked objects equal the ones the checked constructors build
+    assert TraceMultiset(entries=t.entries) == t
+    L = realize(t, g, a, precolored=root)
+    assert ListAssignment(graph=g, lists=L.lists, a=a, precolored=root) == L
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_streams_match_recorded_digests(name):
+    g = GRAPHS[name]
+    canon, walk, n_canon, n_walk = hashlib.sha256(), hashlib.sha256(), 0, 0
+    for a, b, c, r in _cells(name, g):
+        for root, connected in itertools.product((None, r), (False, True)):
+            stream = enumerate_canonical(g, a, b, c, precolored=root, connected_only=connected)
+            for t in itertools.islice(stream, CAP):
+                canon.update(repr(t.entries).encode())
+                if n_canon % SAMPLE == 0:
+                    _rebuild_checked(t, g, a, root)
+                n_canon += 1
+            canon.update(b"|")
+        for free in (False, True):
+            for root, shared, singles in itertools.islice(_saturated_walk(g, a, b, c, free), CAP):
+                walk.update(repr((shared, singles)).encode())
+                if n_walk % SAMPLE == 0:
+                    _rebuild_checked(_entries_to_multiset(shared, singles), g, a, root)
+                n_walk += 1
+            walk.update(b"|")
+    assert (n_canon, canon.hexdigest()[:16], n_walk, walk.hexdigest()[:16]) == GOLDEN[name]
