@@ -1,129 +1,17 @@
 """List coloring with bounded neighbor overlap: exact solvers, closed-form
 separation values for cycles, cactuses and outerplanar graphs, adversarial
-certificate generators, and constructive coloring procedures."""
+certificate generators, and constructive coloring procedures.
 
-from .adversary import (
-    Certificate,
-    cert_from_json_dict,
-    cert_to_json_dict,
-    claimed_sigma,
-    fig1_fixture,
-    gen_c3_family,
-    gen_flower,
-    gen_path_family,
-    gen_sep_odd_cycle,
-    gen_sep_small_ratio,
-    glue_path_to_cycle,
-    verify_certificate,
-)
-from .colorers import (
-    ColoringInputError,
-    ColoringPlan,
-    cactus_free_color,
-    cycle_color_precolored,
-    greedy_cycle,
-    lift_cycle,
-    outerplanar_color,
-    path_color_precolored,
-)
-from .formulas import (
-    CThreshold,
-    FormulaResult,
-    c_threshold,
-    fsep_cactus,
-    fsep_cycle,
-    fsep_min_with_triangle,
-    fsep_monotone_check,
-    fsep_outerplanar_bounds,
-    sep_cycle,
-)
-from .graphs import (
-    Graph,
-    block_decomposition,
-    build_cycle,
-    build_flower,
-    build_path,
-    graph_from_json_dict,
-    identify_vertices,
-    is_cactus,
-)
-from .lists import (
-    ListAssignment,
-    TraceMultiset,
-    amplitude_condition,
-    amplitude_sigma,
-    amplitude_violation,
-    assignment_from_json_dict,
-    canonicalize,
-    is_valid_coloring,
-    realize,
-    separation,
-)
-from .solver import (
-    BudgetExceeded,
-    SolveOutcome,
-    color_with_lists,
-    compute_sep,
-    decide_choosable,
-    decide_with_lists,
-    enumerate_canonical,
-)
+The package exports what each module lists in its own `__all__`."""
+
+from . import adversary, colorers, formulas, graphs, lists, solver
+from .adversary import *
+from .colorers import *
+from .formulas import *
+from .graphs import *
+from .lists import *
+from .solver import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Certificate",
-    "cert_from_json_dict",
-    "cert_to_json_dict",
-    "claimed_sigma",
-    "fig1_fixture",
-    "gen_c3_family",
-    "gen_flower",
-    "gen_path_family",
-    "gen_sep_odd_cycle",
-    "gen_sep_small_ratio",
-    "glue_path_to_cycle",
-    "verify_certificate",
-    "ColoringInputError",
-    "ColoringPlan",
-    "cactus_free_color",
-    "cycle_color_precolored",
-    "greedy_cycle",
-    "lift_cycle",
-    "outerplanar_color",
-    "path_color_precolored",
-    "CThreshold",
-    "FormulaResult",
-    "c_threshold",
-    "fsep_cactus",
-    "fsep_cycle",
-    "fsep_min_with_triangle",
-    "fsep_monotone_check",
-    "fsep_outerplanar_bounds",
-    "sep_cycle",
-    "Graph",
-    "block_decomposition",
-    "build_cycle",
-    "build_flower",
-    "build_path",
-    "graph_from_json_dict",
-    "identify_vertices",
-    "is_cactus",
-    "ListAssignment",
-    "TraceMultiset",
-    "amplitude_condition",
-    "amplitude_sigma",
-    "amplitude_violation",
-    "assignment_from_json_dict",
-    "canonicalize",
-    "is_valid_coloring",
-    "realize",
-    "separation",
-    "BudgetExceeded",
-    "SolveOutcome",
-    "color_with_lists",
-    "compute_sep",
-    "decide_choosable",
-    "decide_with_lists",
-    "enumerate_canonical",
-]
+__all__ = [name for mod in (adversary, colorers, formulas, graphs, lists, solver) for name in mod.__all__]

@@ -10,12 +10,14 @@ are byte-stable.
 
 Generators raise on out-of-regime parameters instead of clamping: each
 layout's uncolorability argument is regime-bound, and a clamped instance
-would carry an unverifiable claim.
+would carry an unverifiable claim.  They also refuse a certificate of more
+than 10^6 vertices, before allocating any of it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .formulas import c_threshold, fsep_cycle
@@ -41,13 +43,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Certificate:
-    graph: Graph
-    a: int
+    """A claim about an assignment; its graph, a and pin are the assignment's."""
+
     b: int
     c: int
     assignment: ListAssignment
     claim: str  # "uncolorable" | "colorable"
     family: str
+
+    @property
+    def graph(self) -> Graph:
+        return self.assignment.graph
+
+    @property
+    def a(self) -> int:
+        return self.assignment.a
 
     @property
     def precolored(self) -> int | None:
@@ -78,7 +88,12 @@ def _fset(*parts) -> ColorSet:
 def _cert(g: Graph, lists, a: int, b: int, c: int, family: str, precolored: int | None = None) -> Certificate:
     """Package uncolorable lists on g as a certificate."""
     L = ListAssignment(graph=g, lists=tuple(lists), a=a, precolored=precolored)
-    return Certificate(graph=g, a=a, b=b, c=c, assignment=L, claim="uncolorable", family=family)
+    return Certificate(b=b, c=c, assignment=L, claim="uncolorable", family=family)
+
+
+def _affordable(n: int) -> None:
+    if n > 10**6:
+        raise ValueError(f"the certificate would have {n} vertices, more than 1000000")
 
 
 def _ring(n: int, shared: int, edge: int, private: int) -> tuple[ColorSet, ...]:
@@ -99,6 +114,7 @@ def gen_sep_small_ratio(n: int, b: int, k: int) -> Certificate:
         raise ValueError("cycle needs n >= 3")
     if not (0 <= k < b):
         raise ValueError(f"need 0 <= k < b, got k={k}, b={b}")
+    _affordable(n)
     return _cert(build_cycle(n), _ring(n, 1, k, b - k - 1), b + k, b, k + 1, "cycle-small-ratio")
 
 
@@ -110,6 +126,7 @@ def gen_sep_odd_cycle(p: int, b: int, alpha: int) -> Certificate:
     if alpha < 0 or p * alpha > b - 1:
         raise ValueError(f"need 0 <= alpha and p*alpha <= b-1, got p={p}, b={b}, alpha={alpha}")
     n = 2 * p + 1
+    _affordable(n)
     lists = _ring(n, n * alpha + 2, b - p * alpha - 1, 0)
     return _cert(build_cycle(n), lists, 2 * b + alpha, b, b + (p + 1) * alpha + 1, "cycle-odd-saturated")
 
@@ -153,6 +170,7 @@ def gen_path_family(n: int, a: int, b: int, variant: str, endpoints: str = "equa
         raise AssertionError("low regime guarantees c <= b")
     if variant == "case2b" and c < b + 1:
         raise AssertionError("middle regime guarantees c >= b+1")
+    _affordable(n + 1)
 
     alloc = _Alloc()
     B = Bp = alloc.fresh(b)
@@ -208,30 +226,6 @@ def gen_c3_family(a: int, b: int, variant: str) -> Certificate:
     return _cert(build_cycle(3), lists, a, b, c, f"triangle-{variant.replace('_', '-')}", precolored=0)
 
 
-def _pick_c3_variant(a: int, b: int) -> str:
-    if 4 * a < 7 * b:
-        return "case1"
-    if a < 3 * b:
-        return "case2_high" if a >= 2 * b else "case2_low"
-    raise ValueError(f"no uncolorable triangle family at a >= 3b (a={a}, b={b})")
-
-
-def _pick_path_variant(n: int, a: int, b: int) -> str:
-    t = c_threshold(n, a, b)
-    c = t.floor + 1
-    if t.regime == "low":
-        if a < 2 * c:
-            raise ValueError(f"low-regime layout needs a >= 2c (n={n}, a={a}, b={b}, c={c})")
-        return "case1"
-    if t.regime == "middle":
-        if a >= 2 * c:
-            return "case2a"
-        if a == 2 * c - 1:
-            return "case2b"
-        raise ValueError(f"middle regime with a <= 2c-2 has no layout (n={n}, a={a}, b={b}, c={c})")
-    raise ValueError(f"no uncolorable path family in the high regime (n={n}, a={a}, b={b})")
-
-
 def glue_path_to_cycle(cert: Certificate) -> Certificate:
     """Identify the two pinned path ends into one precolored cycle vertex.
 
@@ -257,19 +251,27 @@ def gen_flower(p: int, a: int, b: int) -> Certificate:
     i-th b-subset in lexicographic order), with non-hub fresh colors drawn
     from a pool shared across copies.  Whatever b-set the hub takes, the
     matching copy cannot be completed, so the flower is uncolorable with no
-    precoloring at all: its separation number meets its free one.
+    precoloring at all: its separation number meets its free one.  The copy
+    is the first variant, in the family's order, that its generator accepts:
+    the triangle family at p = 3, else the glued path family.
     """
     if p < 3:
         raise ValueError("cycle copies need p >= 3")
     if not (1 <= b <= a):
         raise ValueError("need 1 <= b <= a")
+    _affordable(math.comb(a, b) * (p - 1) + 1)
     c = fsep_cycle(p, a, b).value + 1
     if c > a:
         raise ValueError(f"pinned-cycle value equals a at (p={p}, a={a}, b={b}); no counterexample exists")
-    if p == 3:
-        inner = gen_c3_family(a, b, _pick_c3_variant(a, b))
+    refusals = []
+    for variant in ("case1", "case2_high", "case2_low") if p == 3 else ("case1", "case2a", "case2b"):
+        try:
+            inner = gen_c3_family(a, b, variant) if p == 3 else glue_path_to_cycle(gen_path_family(p, a, b, variant))
+            break
+        except ValueError as e:
+            refusals.append(str(e))
     else:
-        inner = glue_path_to_cycle(gen_path_family(p, a, b, _pick_path_variant(p, a, b), "equal"))
+        raise ValueError(f"no copy layout fits (p={p}, a={a}, b={b}): {'; '.join(refusals)}")
     if inner.c != c:
         raise AssertionError("copy threshold disagrees with the pinned-cycle value")
 
@@ -303,6 +305,7 @@ def claimed_sigma(cert: Certificate) -> int | None:
     """The supply total each layout is engineered to undershoot, where a
     single whole-graph amplitude span exists (cycles, paths, triangles)."""
     n_g = cert.graph.n
+    n = n_g - 1  # the path families build P_{n+1}
     a, b, c = cert.a, cert.b, cert.c
     fam = cert.family
     if fam == "cycle-small-ratio":
@@ -310,13 +313,10 @@ def claimed_sigma(cert: Certificate) -> int | None:
     if fam == "cycle-odd-saturated":
         return n_g * b - 1
     if fam == "path-case1":
-        n = n_g - 1
         return (n - 1) * (a - c) + 2 * b - c
     if fam == "path-case2a":
-        n = n_g - 1
         return (n - 1) * a - (n - 2) * c
     if fam == "path-case2b":
-        n = n_g - 1
         return n * c - (n + 1) // 2 if n % 2 == 1 else n * c - n // 2
     if fam == "triangle-case1":
         t = min(b - c, c)
@@ -331,13 +331,10 @@ def verify_certificate(cert: Certificate, budget: int | None = None) -> tuple[bo
     """Re-check a certificate from scratch: list sizes, separation bound,
     and the claim against the exact solver."""
     L = cert.assignment
-    if L.graph is not cert.graph and L.graph != cert.graph:
-        return False, "assignment graph differs from certificate graph"
-    ends = set()
-    if cert.graph.path_order is not None and cert.graph.n >= 2:
-        ends = {cert.graph.path_order[0], cert.graph.path_order[-1]}
+    g = L.graph
+    ends = {g.path_order[0], g.path_order[-1]} if g.path_order is not None and g.n >= 2 else ()
     for v, lst in enumerate(L.lists):
-        want = cert.b if (v == L.precolored or v in ends) else cert.a
+        want = cert.b if (v == L.precolored or v in ends) else L.a
         if len(lst) != want:
             return False, f"list at vertex {v} has size {len(lst)}, expected {want}"
     s = separation(L)
@@ -350,18 +347,10 @@ def verify_certificate(cert: Certificate, budget: int | None = None) -> tuple[bo
 
 
 def cert_to_json_dict(cert: Certificate) -> dict:
-    d = {
-        "graph": cert.graph.to_json_dict(),
-        "a": cert.a,
-        "b": cert.b,
-        "c": cert.c,
-        "lists": [sorted(lst) for lst in cert.assignment.lists],
-        "claim": cert.claim,
-        "family": cert.family,
-    }
-    if cert.precolored is not None:
-        d["precolored"] = {"vertex": cert.precolored}
-    return d
+    """The graph, a, b, c, the assignment's lists, claim, family, then the assignment's pin if any."""
+    L = cert.assignment.to_json_dict()
+    return {"graph": cert.graph.to_json_dict(), "a": cert.a, "b": cert.b, "c": cert.c, "lists": L.pop("lists"),
+            "claim": cert.claim, "family": cert.family, **L}
 
 
 _CERT = {"graph": {}, **_ASSIGNMENT, "a": 1, "b": 1, "c": 0,
@@ -373,5 +362,4 @@ def cert_from_json_dict(d: dict) -> Certificate:
     g = graph_from_json_dict(d["graph"])
     lists, pre = _lists_for(d, g.n, "certificate")
     L = ListAssignment._trusted(g, lists, d["a"], pre)
-    return Certificate(graph=g, a=d["a"], b=d["b"], c=d["c"], assignment=L, claim=d["claim"],
-                       family=d.get("family") or "unknown")
+    return Certificate(b=d["b"], c=d["c"], assignment=L, claim=d["claim"], family=d.get("family") or "unknown")

@@ -122,11 +122,8 @@ def _check(args, g, a, b, c) -> int:
     if out.colorable:
         _emit(f"choosable (explored {out.nodes_explored} nodes)", args.out)
         return 0
-    lists = [sorted(s) for s in out.counterexample.lists]
-    payload = {"verdict": "not choosable", "counterexample": lists}
-    if out.counterexample.precolored is not None:
-        payload["precolored"] = {"vertex": out.counterexample.precolored}
-    _emit(json.dumps(payload), args.out)
+    L = out.counterexample.to_json_dict()
+    _emit(json.dumps({"verdict": "not choosable", "counterexample": L.pop("lists"), **L}), args.out)
     return 1
 
 

@@ -111,7 +111,7 @@ def lift_cycle(
     if base is None:
         base = _exact_base
     if k == 0:
-        return base(L, b)
+        return _recorded(base(L, b), plan)
     order = g.cycle_order
     n = len(order)
     a_res = L.a - 2 * k
@@ -147,9 +147,15 @@ def lift_cycle(
         if psi[v] & picks[v]:
             raise AssertionError(f"vertex {v}: base coloring reused a lifted pick")
         out.append(frozenset(psi[v] | picks[v]))
-        if plan is not None:
-            plan.record(v, out[v])
-    return tuple(out)
+    return _recorded(tuple(out), plan)
+
+
+def _recorded(phi: BColoring, plan: ColoringPlan | None, order=None) -> BColoring:
+    """phi, after recording each vertex's colors in order (vertex order by default)."""
+    if plan is not None:
+        for v in order or range(len(phi)):
+            plan.record(v, phi[v])
+    return phi
 
 
 def _exact_base(L: ListAssignment, b: int) -> BColoring:
@@ -206,10 +212,7 @@ def path_color_precolored(L: ListAssignment, b: int, plan: ColoringPlan | None =
         _pin(L, b)
     order = g.path_order
     phi = dict(zip(order, _complete_path([L.lists[v] for v in order], order, b)))
-    if plan is not None:
-        for v in order:
-            plan.record(v, phi[v])
-    return tuple(phi[v] for v in range(g.n))
+    return _recorded(tuple(phi[v] for v in range(g.n)), plan, order)
 
 
 def cycle_color_precolored(L: ListAssignment, b: int, plan: ColoringPlan | None = None) -> BColoring:
@@ -225,10 +228,7 @@ def cycle_color_precolored(L: ListAssignment, b: int, plan: ColoringPlan | None 
     idx = order.index(r)
     seq = order[idx:] + order[:idx]
     phi = dict(zip(seq, _complete_cycle([L.lists[v] for v in seq], b)))
-    if plan is not None:
-        for v in seq:
-            plan.record(v, phi[v])
-    return tuple(phi[v] for v in range(g.n))
+    return _recorded(tuple(phi[v] for v in range(g.n)), plan, seq)
 
 
 def _cycle_order_in_block(edges: frozenset[tuple[int, int]], entry: int) -> list[int]:

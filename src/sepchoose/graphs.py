@@ -14,6 +14,17 @@ import itertools
 import reprlib
 from dataclasses import dataclass, field
 
+__all__ = [
+    "Graph",
+    "graph_from_json_dict",
+    "build_cycle",
+    "build_path",
+    "build_flower",
+    "identify_vertices",
+    "block_decomposition",
+    "is_cactus",
+]
+
 Edge = tuple[int, int]
 
 

@@ -29,6 +29,19 @@ from dataclasses import dataclass
 
 from .graphs import Graph, _check
 
+__all__ = [
+    "ListAssignment",
+    "assignment_from_json_dict",
+    "separation",
+    "is_valid_coloring",
+    "amplitude_sigma",
+    "amplitude_violation",
+    "amplitude_condition",
+    "TraceMultiset",
+    "canonicalize",
+    "realize",
+]
+
 ColorSet = frozenset[int]
 BColoring = tuple[ColorSet, ...]
 

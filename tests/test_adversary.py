@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -347,6 +348,54 @@ def test_json_round_trip_keeps_every_criterion_4_certificate():
         back = cert_from_json_dict(json.loads(json.dumps(cert_to_json_dict(cert))))
         assert back == cert
         assert verify_certificate(back) == (True, "ok"), cert.family
+
+
+# byte goldens, recorded before certificates took their graph, a and list JSON from the assignment
+_C3_CASE2_LOW_JSON = (
+    '{"graph": {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]], "cycle_order": [0, 1, 2]}, "a": 7, "b": 4, "c": 3, '
+    '"lists": [[0, 1, 2, 3], [0, 1, 2, 4, 5, 6, 7], [3, 4, 5, 6, 8, 9, 10]], "claim": "uncolorable", '
+    '"family": "triangle-case2-low", "precolored": {"vertex": 0}}'
+)
+_FLOWER_DIGEST = "5acdd003ca6a687f9fe38482d0d427e651276db01ee4427771a7c26d773d5dad"
+
+
+def test_pinned_certificate_json_golden():
+    # the pin is the last key, after claim and family
+    assert json.dumps(cert_to_json_dict(gen_c3_family(7, 4, "case2_low"))) == _C3_CASE2_LOW_JSON
+
+
+def test_flower_digest():
+    h, built = hashlib.sha256(), 0
+    for p in range(3, 7):
+        for b in range(1, 4):
+            for a in range(b, 3 * b + 1):
+                try:
+                    text = json.dumps(cert_to_json_dict(gen_flower(p, a, b)))
+                    built += 1
+                except ValueError:
+                    text = "refused"
+                h.update(text.encode() + b"\n")
+    assert (built, h.hexdigest()) == (38, _FLOWER_DIGEST)
+
+
+def test_flower_refusal_names_every_variant():
+    # the flower copies the first variant its family's generator accepts
+    with pytest.raises(ValueError) as info:
+        gen_flower(4, 1, 1)
+    assert str(info.value) == (
+        "no copy layout fits (p=4, a=1, b=1): case1 layout needs a >= 2c (a=1, c=1); "
+        "case2a needs the middle regime, got low; case2b needs the middle regime, got low"
+    )
+
+
+def test_certificate_graph_and_a_come_from_the_assignment():
+    cert = gen_path_family(5, 9, 4, "case2b")
+    assert [f.name for f in dataclasses.fields(cert)] == ["b", "c", "assignment", "claim", "family"]
+    assert (cert.graph, cert.a, cert.precolored) == (
+        cert.assignment.graph, cert.assignment.a, cert.assignment.precolored,
+    )
+    with pytest.raises(TypeError):
+        dataclasses.replace(cert, graph=cert.graph)
 
 
 def test_generators_are_deterministic():

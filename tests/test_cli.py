@@ -110,6 +110,15 @@ def test_solve_check_negative_free(capsys, tmp_path):
     assert "precolored" in payload
 
 
+def test_solve_check_stdout_golden(capsys, tmp_path):
+    # recorded before the payload took its lists and pin from ListAssignment.to_json_dict
+    k4e = write_json(tmp_path / "k4e.json", {"n": 4, "edges": [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3]]})
+    rc, out, _ = run(capsys, "solve", "check", "--graph", k4e, "--a", "4", "--b", "2", "--c", "2", "--free")
+    assert rc == 1
+    assert out == ('{"verdict": "not choosable", "counterexample": [[0, 1], [0, 1, 2, 3], [0, 1, 4, 5], [2, 3, 4, 5]], '
+                   '"precolored": {"vertex": 0}}\n')
+
+
 def test_solve_sep(capsys, tmp_path):
     gpath = write_json(tmp_path / "c4.json", build_cycle(4).to_json_dict())
     rc, out, _ = run(capsys, "solve", "sep", "--graph", gpath, "--a", "2", "--b", "1")
@@ -518,6 +527,25 @@ def test_huge_n_is_rejected_before_allocation(tmp_path, argv, message):
     assert time.perf_counter() - t0 < 2
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+# without the refusal each of these certificates exhausts memory
+OVERSIZED = [
+    ("small-ratio --n 100000000 --b 2 --k 1", 100_000_000),
+    ("odd-cycle --p 100000000 --b 2 --alpha 0", 200_000_001),
+    ("path --n 100000000 --a 7 --b 4 --variant case1", 100_000_001),
+    ("flower --p 3 --a 22 --b 11", 1_410_865),
+]
+
+
+@pytest.mark.parametrize("args, n", OVERSIZED, ids=[args.split()[0] for args, _ in OVERSIZED])
+def test_oversized_certificate_is_refused_before_allocation(tmp_path, args, n):
+    t0 = time.perf_counter()
+    proc = _cli_child("adversary", *args.split(), cwd=tmp_path)
+    assert time.perf_counter() - t0 < 1
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: the certificate would have {n} vertices, more than 1000000\n"
+    assert proc.stdout == ""
 
 
 # one valid input set per file-reading command; the fuzz test mutates one field of one file

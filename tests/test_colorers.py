@@ -105,7 +105,11 @@ def test_lift_cycle_zero_shift_delegates():
     rng = random.Random(19)
     lists = random_cycle_lists(rng, 4, 3, 2)
     L = ListAssignment(graph=build_cycle(4), lists=lists, a=3)
-    assert lift_cycle(L, 1, 0) == color_with_lists(L, 1).witness
+    plan = ColoringPlan(strategy="lift")
+    phi = lift_cycle(L, 1, 0, plan=plan)
+    assert phi == color_with_lists(L, 1).witness
+    # the base coloring is recorded in vertex order, as for k > 0
+    assert plan.steps == [(v, tuple(sorted(phi[v]))) for v in range(4)]
 
 
 def test_lift_cycle_rejects_pinned_and_negative():
