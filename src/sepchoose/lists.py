@@ -17,9 +17,10 @@ number of the subgraph induced by the listing vertices inside the span.  A
 coloring packs b slots per vertex into those independent sets, so
 sigma(i, j) >= b * (j - i + 1) on every span is necessary; on paths and
 complete graphs it is also sufficient.  On a path, amplitude_violation
-finds the first failing span with one sweep per start vertex: sigma(i, j)
-follows from sigma(i, j-1) and the runs of L(x_j)'s colors that end at x_j,
-so the check costs O(n^2 a), not a recount of every span.
+finds the first failing span without recounting any: sigma(i, j) follows
+from sigma(i, j-1) and the runs of L(x_j)'s colors that end at x_j, which
+ANDs of consecutive lists' color bitmasks count, so each span costs one
+AND and one addition, and the sweep keeps one sum per start vertex.
 """
 
 from __future__ import annotations
@@ -185,33 +186,39 @@ def amplitude_sigma(L: ListAssignment, i: int, j: int) -> int:
 def _path_deficit(lists, b: int):
     """First span (i, j) of a path given its lists in path order, 1-based,
     with sigma < b*(j-i+1), as (i, j, sigma); None when there is none.
+    First means first in row-major order: smallest i, then smallest j.
 
-    One sweep per start x_i.  Extending the span to x_j grows the run of
-    each color c of L(x_j) inside the span to min(run_j(c), span), where
-    run_j(c) counts the consecutive vertices listing c that end at x_j;
-    that adds 1 to the run's ceil(run / 2) exactly when the new length is
-    odd.  Spans at least as long as x_j's longest run all add the number of
-    odd runs.
+    Extending a span x_i..x_{j-1} to x_j grows the run of each color c of
+    L(x_j) inside the span to min(run_j(c), span), where run_j(c) counts
+    the consecutive vertices listing c that end at x_j; that adds 1 to the
+    run's ceil(run / 2) exactly when the new length is odd.  With R_k the
+    colors of L(x_j) whose run reaches k, that gain is |R_1| - |R_2| + |R_3|
+    - ... up to the span, and R_k is the AND of the color bitmasks of the k
+    lists ending at x_j.  So one backward AND sweep from each x_j adds x_j's
+    gain to sigma(i, j) for every start x_i at once; a start whose span
+    fails stops the starts after it, and a failing x_1 ends the search.
     """
-    runs, prev = [], {}
-    for lst in lists:
-        cur = {c: prev.get(c, 0) + 1 for c in lst}
-        lens = tuple(cur.values())
-        runs.append((max(lens), sum(r & 1 for r in lens), lens))
-        prev = cur
-    n = len(lists)
-    for i in range(n):
-        sigma = 0
-        for j in range(i, n):
-            span = j - i + 1
-            longest, odd, lens = runs[j]
-            if span >= longest:
-                sigma += odd
-            else:
-                sigma += sum((r if r < span else span) & 1 for r in lens)
-            if sigma < b * span:
-                return (i + 1, j + 1, sigma)
-    return None
+    bit = {c: 1 << k for k, c in enumerate(set().union(*lists))}
+    masks = [sum(map(bit.__getitem__, lst)) for lst in lists]
+    sigma = [0] * len(masks)  # sigma[i]: sigma(i, j), 0-based, for the current j
+    # a start from stop on can no longer give the first violation (found
+    # holds one at a smaller start), so its sum is no longer kept
+    found, stop = None, len(masks)
+    for j in range(len(masks)):
+        gain, sign, run, need = 0, 1, -1, 0
+        for i in range(j, -1, -1):
+            if run:
+                run &= masks[i]
+                gain += sign * run.bit_count()
+                sign = -sign
+            need += b
+            if i < stop:
+                have = sigma[i] = sigma[i] + gain
+                if have < need:
+                    found, stop = (i + 1, j + 1, have), i
+        if not stop:
+            break
+    return found
 
 
 def amplitude_violation(L: ListAssignment, b: int):

@@ -7,22 +7,25 @@ position i, later positions only see phi(i) & L(i+1), and only the
 inclusion-minimal shadows matter).  Its memo is keyed by (component,
 effective masks): a component's subproblem is fixed by its lists minus the
 colors of its colored neighbours.  A graph's path or cycle annotation is
-read in one place, _line: a graph annotated as one path or cycle goes
-straight to its kernel before any search machinery is built, and
-decide_choosable sends each instance of such a graph to _on_line itself.
+read in one place, _line: a graph annotated as one path or cycle has its
+lists turned into masks in line order and goes straight to its kernel
+before any search machinery is built, and decide_choosable sends each
+instance of such a graph to _on_line itself.
 Decision mode, behind decide_with_lists, returns only the verdict; it
 trusts a kernel's "yes" and memoizes successes as well as failures.
 Witness mode, behind color_with_lists, builds the lex-least coloring and
 memoizes failures only.  It colors a path component without backtracking:
 one DP sweep from each end gives, at every position, the minimal shadows
 that the rest of the path needs, and each vertex, smallest first, takes
-the first b-subset that misses one from each side (_path_witness; one
-backward sweep and one forward pass when vertex numbers rise along the
-path).  A cycle component fixes its smallest vertex per candidate and
-colors the path that is left (_cycle_witness).  Frozenset lists appear
-only at the public edges.  The search runs on an explicit stack of
-generators, one per open component, so its depth is bounded by memory, not
-by the interpreter's recursion limit, which it never touches.
+the first b-subset that misses one from each side (_path_witness).  When
+vertex numbers rise or fall along the path, that costs the decision
+kernel's one sweep (n - 1 shadow-DP steps) plus one candidate scan per
+vertex.  A cycle component fixes its smallest vertex per candidate and
+colors the path that is left (_cycle_witness).
+Frozenset lists appear only at the public edges.  The search runs on an
+explicit stack of generators, one per open component, so its depth is
+bounded by memory, not by the interpreter's recursion limit, which it
+never touches.
 
 Each public call keeps one node count (_budget), and every stage charges
 it: the automorphism search, the trace universe, the enumeration, the
@@ -76,8 +79,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
-from operator import itemgetter
+from functools import cache, lru_cache, partial, reduce
+from operator import and_, itemgetter
 
 from .graphs import Graph
 from .lists import BColoring, ListAssignment, TraceMultiset, realize
@@ -204,71 +207,87 @@ def _path_witness(masks, ranks, b: int, bump):
     in _subsets order that leaves the rest colorable: a candidate at p is
     feasible iff it misses some minimal shadow forward from the left end of
     p's uncolored interval and some minimal shadow backward from its right
-    end.  Those antichains are cached per position with the end they were
-    swept from.  Interval ends only move inward, so an entry whose end is
-    still its interval's end is still exact; coloring p moves only the left
-    end of the interval to its right and the right end of the interval to
-    its left, so only those sides are swept again.  When ranks rise along
-    the path, the whole walk is one backward sweep plus one forward pass; a
-    numbering that keeps jumping between the ends of an interval can still
-    cost a sweep per vertex.
+    end.  An end that is p itself sets no condition: its colored neighbour
+    outside the interval is already off p's list.  The antichains are
+    cached per position with the end they were swept from.  Interval ends
+    only move inward, so an entry whose end is still its interval's end is
+    still exact; coloring p moves only the left end of the interval to its
+    right and the right end of the interval to its left, so only those
+    sides are swept again, each resuming at the nearest cached entry.  When
+    ranks rise (or fall) along the path, every interval starts (ends) at the
+    position it colors, and the whole walk is one sweep of m - 1 _advance
+    calls plus one candidate scan per position; a numbering that keeps
+    jumping between the ends of an interval can still cost a sweep per
+    vertex.  The sweeps are exact, so only the root, whose interval is the
+    whole path, can find no candidate or a sweep that runs out of shadows:
+    then the path has no coloring, and the walk ends before it builds the
+    Cartesian tree.
     """
     m = len(masks)
-    phi = [0] * m
-    fwd, fend = [()] * m, [-1] * m
-    bwd, bend = [()] * m, [-1] * m
-
-    def live(q):
-        # the list minus the colors of colored neighbours
-        mk = masks[q]
-        if q > 0:
-            mk &= ~phi[q - 1]
-        if q + 1 < m:
-            mk &= ~phi[q + 1]
-        return mk
-
-    def shadows(states, end, ends, p, step):
-        # antichain at p swept from `end`, resuming at the nearest cached one
-        q = p
-        while q != end and ends[q] != end:
-            q -= step
-        if ends[q] != end:
-            states[q], ends[q] = (0,), end
-        while q != p:
-            states[q + step] = _advance(states[q], live(q), masks[q + step], b)
-            ends[q + step] = end
-            q += step
-        return states[p]
-
-    # Cartesian tree on ranks: each position's interval is colored after
-    # its ends, which are its ancestors
-    left, right, stack = [-1] * m, [-1] * m, []
-    for i in range(m):
-        last = -1
-        while stack and ranks[stack[-1]] > ranks[i]:
-            last = stack.pop()
-        left[i] = last
-        if stack:
-            right[stack[-1]] = i
-        stack.append(i)
-    todo = [(stack[0], 0, m - 1)]
+    # phi[m] stays 0 and stands for the missing neighbour at either end
+    # (index -1 wraps to it)
+    phi = [0] * (m + 1)
+    # per side: the antichain cached at each position, the end it was swept
+    # from, and the sweep's step
+    sides = (([()] * m, [-1] * m, 1), ([()] * m, [-1] * m, -1))
+    # the root is the smallest rank; the Cartesian tree waits for its color
+    todo, left = [(ranks.index(min(ranks)), 0, m - 1)], None
     while todo:
         p, lo, hi = todo.pop()
         bump()
-        before = shadows(fwd, lo, fend, p, 1)
-        after = shadows(bwd, hi, bend, p, -1)
-        # uncached: the walk mostly stops at the first candidate, and its
-        # masks are too varied to be worth keeping
-        for cand in _subsets(live(p), b):
-            if any(not s & cand for s in before) and any(not s & cand for s in after):
-                phi[p] = cand
-                break
+        pool = masks[p] & ~(phi[p - 1] | phi[p + 1])
+        need = []
+        for (states, ends, step), end in zip(sides, (lo, hi)):
+            if end == p:
+                continue
+            q = p
+            while q != end and ends[q] != end:
+                q -= step
+            if ends[q] != end:
+                states[q], ends[q] = (0,), end
+            while q != p:
+                # q's only colored neighbour lies outside the interval, behind it
+                got = states[q + step] = _advance(states[q], masks[q] & ~phi[q - step], masks[q + step], b)
+                if not got:
+                    return None  # the interval, and so the path, has no coloring
+                ends[q + step] = end
+                q += step
+            # a color that every shadow of this side holds cannot be chosen
+            pool &= ~reduce(and_, states[p])
+            need.append(states[p])
+        if b == 1:
+            # every color left misses some shadow of each side, so the scan
+            # below would take pool's lowest; most path instances have b = 1
+            phi[p] = pool & -pool
         else:
+            # uncached: the walk mostly stops at the first candidate, and its
+            # masks are too varied to be worth keeping
+            for cand in _subsets(pool, b):
+                for shadows in need:
+                    if 0 not in map(cand.__and__, shadows):
+                        break  # cand meets every shadow of this side
+                else:
+                    phi[p] = cand
+                    break
+        if not phi[p]:
             return None
+        if left is None:
+            # Cartesian tree on ranks: each position's interval is colored
+            # after its ends, which are its ancestors
+            left, right, stack = [-1] * m, [-1] * m, []
+            for i in range(m):
+                last = -1
+                while stack and ranks[stack[-1]] > ranks[i]:
+                    last = stack.pop()
+                left[i] = last
+                if stack:
+                    right[stack[-1]] = i
+                stack.append(i)
         if left[p] >= 0:
             todo.append((left[p], lo, p - 1))
         if right[p] >= 0:
             todo.append((right[p], p + 1, hi))
+    del phi[m]
     return phi
 
 
@@ -305,17 +324,16 @@ def _line(g: Graph, root: int | None = None):
     return None
 
 
-def _on_line(shape, masks, b: int, want_witness: bool, bump):
-    """One node for a path or cycle, shape being its (cyclic, order): the
-    kernel's verdict in decision mode, else the witness walk's coloring as
-    a map from vertices to masks (vertex numbers are the ranks), or None."""
+def _on_line(shape, line, b: int, want_witness: bool, bump):
+    """One node for a path or cycle, shape being its (cyclic, order) and
+    line its masks in that order: the kernel's verdict in decision mode,
+    else the witness walk's coloring in line order (vertex numbers are the
+    ranks), or None."""
     bump()
     cyclic, order = shape
-    line = [masks[v] for v in order]
     if not want_witness:
         return (_cycle_colorable if cyclic else _path_colorable)(line, b)
-    chosen = (_cycle_witness if cyclic else _path_witness)(line, order, b, bump)
-    return None if chosen is None else dict(zip(order, chosen))
+    return (_cycle_witness if cyclic else _path_witness)(line, order, b, bump)
 
 
 def _solve_masks(g: Graph, masks, b: int, bump, want_witness: bool):
@@ -323,20 +341,15 @@ def _solve_masks(g: Graph, masks, b: int, bump, want_witness: bool):
     disjoint?  Returns (colorable, phimask); phimask maps vertices to their
     chosen color masks and is None unless want_witness and colorable.  Each
     search node and each kernel call charges bump.
-    A graph annotated as a path or cycle (_line) goes straight to its
-    kernel, without the split, the memo or the search stack.
 
     Always extends the smallest uncolored vertex and solves the components
     of the rest independently, so lex-least pieces assemble the lex-least
     witness; path and cycle components get theirs from the witness walks,
     which make the same choices.  A kernel's "no" is final, and in decision
     mode so is its "yes": sibling components are never adjacent, so nothing
-    reads the colors it leaves unset.  Its callers check that b >= 1.
+    reads the colors it leaves unset.  Its callers check that b >= 1 and
+    send a graph annotated as one path or cycle to _on_line instead.
     """
-    whole = _line(g)
-    if whole is not None:
-        got = _on_line(whole, masks, b, want_witness, bump)
-        return bool(got), (got if want_witness else None)
     adj = g.adj
     phimask: dict[int, int] = {}
     memo: dict = {}
@@ -387,9 +400,9 @@ def _solve_masks(g: Graph, masks, b: int, bump, want_witness: bool):
             return hit
         shape = shape_of(comp_t)
         if shape is not None:
-            got = _on_line(shape, eff, b, want_witness, bump)
+            got = _on_line(shape, [eff[v] for v in shape[1]], b, want_witness, bump)
             if want_witness and got:
-                phimask.update(got)
+                phimask.update(zip(shape[1], got))
                 return True
             ok = memo[key] = bool(got)
             return ok
@@ -432,27 +445,38 @@ def _solve_masks(g: Graph, masks, b: int, bump, want_witness: bool):
 def _lists_to_masks(lists) -> tuple[list, list[int]]:
     """Bit i of a mask stands for the i-th smallest color of the universe."""
     universe = sorted(set().union(*lists))
-    cidx = {c: i for i, c in enumerate(universe)}
-    return universe, [sum(1 << cidx[c] for c in lst) for lst in lists]
+    bit = {c: 1 << i for i, c in enumerate(universe)}
+    return universe, [sum(map(bit.__getitem__, lst)) for lst in lists]
 
 
 def _solve_lists(L: ListAssignment, b: int, budget: int | None, want_witness: bool) -> SolveOutcome:
     """An edge around the search core: the lists become bitmasks over the
     sorted color universe, the core runs, and a witness's masks come back
-    as frozensets of colors."""
+    as frozensets of colors.  A graph annotated as one path or cycle (_line)
+    has its lists turned into masks in line order and goes straight to its
+    kernel, without the split, the memo or the search stack."""
     if b < 1:
         raise ValueError("b must be positive")
-    if any(len(lst) < b for lst in L.lists):
+    lists = L.lists
+    if min(map(len, lists)) < b:
         return SolveOutcome(colorable=False)
-    if L.precolored is not None and len(L.lists[L.precolored]) != b:
+    if L.precolored is not None and len(lists[L.precolored]) != b:
         # phi(r) = L(r) is unsatisfiable at size b
         return SolveOutcome(colorable=False)
-    universe, masks = _lists_to_masks(L.lists)
     bump, count = _budget(budget)
-    ok, phimask = _solve_masks(L.graph, masks, b, bump, want_witness)
+    whole = _line(L.graph)
+    if whole is None:
+        universe, masks = _lists_to_masks(lists)
+        ok, phimask = _solve_masks(L.graph, masks, b, bump, want_witness)
+    else:
+        order = whole[1]
+        universe, line = _lists_to_masks([lists[v] for v in order])
+        got = _on_line(whole, line, b, want_witness, bump)
+        ok = bool(got)
+        phimask = dict(zip(order, got)) if want_witness and got else None
     witness = None
     if phimask is not None:
-        witness = _masks_to_sets(universe, [phimask[v] for v in range(len(masks))])
+        witness = _masks_to_sets(universe, [phimask[v] for v in range(len(lists))])
     return SolveOutcome(colorable=ok, witness=witness, nodes_explored=count())
 
 
@@ -717,7 +741,7 @@ def _counterexample(g: Graph, a: int, b: int, c: int, pins, bump) -> ListAssignm
         for shared, singles in _enumerate_entries(plan(), cap, c):
             masks = _entries_to_masks(g.n, shared, singles)
             if line is not None:
-                ok = _on_line(line, masks, b, False, bump)
+                ok = _on_line(line, [masks[v] for v in line[1]], b, False, bump)
             else:
                 bump()
                 ok = _solve_masks(g, masks, b, bump, False)[0]

@@ -131,3 +131,15 @@ def brute_force_witness(L: ListAssignment, b: int):
 def brute_force_colorable(L: ListAssignment, b: int) -> bool:
     """Reference decision by the same enumeration."""
     return brute_force_witness(L, b) is not None
+
+
+def huge_colors(L: ListAssignment):
+    """L with every color c renamed c * 10**12 + 3, and that renaming.  The
+    map is increasing, so it keeps verdicts, lex-least witnesses and amplitude
+    spans, and its colors are too large and sparse to serve as bit indices."""
+
+    def up(c: int) -> int:
+        return c * 10**12 + 3
+
+    lists = tuple(frozenset(map(up, lst)) for lst in L.lists)
+    return ListAssignment(graph=L.graph, lists=lists, a=L.a, precolored=L.precolored), up

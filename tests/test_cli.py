@@ -352,21 +352,22 @@ def test_color_preconditions_are_usage_errors(capsys, tmp_path, strategy, g, lis
 
 # one colorable and one uncolorable instance each for `color path` (P3,
 # unpinned), `color cactus` (the fig1 two-square cactus pinned at its hub)
-# and `color outerplanar` (a snake of two square faces pinned at 0)
+# and `color outerplanar` (a snake of two square faces pinned at 0), with
+# the deficient span that the failure names
 _FIG1 = fig1_fixture().graph
 _SNAKE = Graph(n=6, edges=frozenset({(0, 1), (1, 2), (2, 3), (0, 3), (2, 4), (4, 5), (3, 5)}),
                faces=((0, 1, 2, 3), (2, 4, 5, 3)))
 COLOR_CASES = [
-    ("path", build_path(3), [[0, 1], [0, 1, 2], [2, 3]], [[0], [0, 1], [1]]),
+    ("path", build_path(3), [[0, 1], [0, 1, 2], [2, 3]], [[0], [0, 1], [1]], "1..3 of the path supply 2 colors, need 3"),
     ("cactus", _FIG1, [[1], [2, 3], [3, 4], [4, 5], [2, 3], [3, 4], [4, 5]],
-     [[1], [1, 3], [3, 4], [1, 4], [2, 3], [3, 4], [2, 4]]),
+     [[1], [1, 3], [3, 4], [1, 4], [2, 3], [3, 4], [2, 4]], "1..5 of the path supply 4 colors, need 5"),
     ("outerplanar", _SNAKE, [[0], [0, 1], [1, 2], [2, 3], [3, 4], [4, 5]],
-     [[0], [0, 1], [1, 2], [0, 2], [3, 4], [4, 5]]),
+     [[0], [0, 1], [1, 2], [0, 2], [3, 4], [4, 5]], "1..5 of the path supply 4 colors, need 5"),
 ]
 
 
-@pytest.mark.parametrize("strategy, g, good, bad", COLOR_CASES, ids=[c[0] for c in COLOR_CASES])
-def test_color_path_cactus_outerplanar(capsys, tmp_path, strategy, g, good, bad):
+@pytest.mark.parametrize("strategy, g, good, bad, deficit", COLOR_CASES, ids=[c[0] for c in COLOR_CASES])
+def test_color_path_cactus_outerplanar(capsys, tmp_path, strategy, g, good, bad, deficit):
     gpath = write_json(tmp_path / "g.json", g.to_json_dict())
     pin = None if strategy == "path" else {"vertex": 0}
     for name, lists in (("good", good), ("bad", bad)):
@@ -375,7 +376,7 @@ def test_color_path_cactus_outerplanar(capsys, tmp_path, strategy, g, good, bad)
         rc, out, err = run(capsys, "color", strategy, "--graph", gpath, "--lists", lpath, "--b", "1")
         if name == "bad":
             assert (rc, out) == (1, "")
-            assert err.startswith("coloring failed:")
+            assert err == f"coloring failed: no coloring: positions {deficit}\n"
             continue
         assert rc == 0
         L = ListAssignment(graph=g, lists=tuple(frozenset(s) for s in lists),

@@ -15,11 +15,14 @@ from sepchoose import (
     build_cycle,
     build_path,
     canonicalize,
+    color_with_lists,
     fig1_fixture,
     is_valid_coloring,
     realize,
     separation,
 )
+from sepchoose.lists import _path_deficit
+from helpers import huge_colors
 
 F = frozenset
 
@@ -157,6 +160,21 @@ def first_violation_by_sigma(L, b):
 def test_path_amplitude_violation_matches_span_reference(inst):
     L, b = inst
     assert amplitude_violation(L, b) == first_violation_by_sigma(L, b)
+
+
+@seed(20200904)
+@settings(max_examples=300, deadline=None, database=None)
+@given(path_assignments())
+def test_huge_sparse_colors_keep_the_deficit_span(inst):
+    L, b = inst
+    big, up = huge_colors(L)
+    order = L.graph.path_order
+    span = _path_deficit([L.lists[v] for v in order], b)
+    assert _path_deficit([big.lists[v] for v in order], b) == span
+    assert amplitude_violation(big, b) == (None if span is None else span[:2])
+    out, big_out = color_with_lists(L, b), color_with_lists(big, b)
+    assert big_out.colorable == out.colorable
+    assert big_out.witness == (None if out.witness is None else tuple(F(map(up, s)) for s in out.witness))
 
 
 def test_amplitude_on_triangle_counts_colors():

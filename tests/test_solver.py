@@ -25,8 +25,9 @@ from sepchoose import (
     realize,
     separation,
 )
+from sepchoose import solver
 from sepchoose.solver import _automorphisms, _enumerate_entries, _level_plan
-from helpers import brute_force_colorable, brute_force_witness, random_cycle_lists
+from helpers import brute_force_colorable, brute_force_witness, huge_colors, random_cycle_lists
 
 F = frozenset
 
@@ -312,6 +313,37 @@ def test_core_modes_agree_with_brute_force(inst):
         assert is_valid_coloring(L, out.witness, b)
 
 
+@seed(20200903)
+@settings(max_examples=300, deadline=None, database=None)
+@given(linear_instances())
+def test_huge_sparse_colors_map_the_witness(inst):
+    L, b = inst
+    big, up = huge_colors(L)
+    out, big_out = color_with_lists(L, b), color_with_lists(big, b)
+    assert big_out.colorable == decide_with_lists(big, b).colorable == out.colorable
+    mapped = None if out.witness is None else tuple(F(map(up, s)) for s in out.witness)
+    assert big_out.witness == mapped
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 40])
+@pytest.mark.parametrize("falling", [False, True], ids=["rising", "falling"])
+@pytest.mark.parametrize("b", [1, 2])
+def test_path_witness_is_one_sweep(monkeypatch, n, falling, b):
+    # with vertex numbers rising or falling along the path, the witness walk
+    # sweeps the path once from one end and then only scans candidates
+    g = build_path(n)
+    if falling:
+        g = Graph(n=n, edges=g.edges, path_order=g.path_order[::-1])
+    width = 3 * b  # lists of 2b colors out of 3b, shifted by b along the path
+    lists = tuple(F((i * b + k) % width for k in range(2 * b)) for i in range(n))
+    calls = []
+    advance = solver._advance
+    monkeypatch.setattr(solver, "_advance", lambda *args: calls.append(args) or advance(*args))
+    out = color_with_lists(ListAssignment(graph=g, lists=lists, a=2 * b), b)
+    assert out.colorable
+    assert len(calls) == n - 1
+
+
 def test_easy_long_path_witness():
     # P_4000 walks the path witness once, with no recursion per vertex; on
     # these lists the lex-least coloring is the left-to-right greedy one
@@ -402,12 +434,23 @@ C5_LISTS = ListAssignment(
     graph=build_cycle(5), lists=(F({0, 1, 2}), F({1, 2, 3}), F({0, 2, 3}), F({0, 1, 3}), F({1, 2, 3})), a=3
 )
 K4E_LISTS = ListAssignment(graph=K4E, lists=(F({0, 1, 2, 3}), F({0, 1, 4, 5}), F({2, 3, 4, 5}), F({0, 1, 2, 3})), a=4)
+# a path numbered along its order whose first vertex must look to the far
+# end, and one numbered out of order, so the walk colors inner vertices first
+PATH_RISING = ListAssignment(graph=build_path(6), lists=(F({0, 1}), F({0, 2}), F({2, 3}), F({3, 4}), F({4, 5}), F({5})),
+                             a=2)
+_SHUFFLED = (3, 0, 5, 1, 4, 2)
+PATH_SHUFFLED = ListAssignment(
+    graph=Graph(n=6, edges=F((min(u, v), max(u, v)) for u, v in zip(_SHUFFLED, _SHUFFLED[1:])), path_order=_SHUFFLED),
+    lists=(F({0, 1, 2, 3}), F({0, 2, 4, 5}), F({1, 2, 4, 5}), F({0, 1, 2, 3}), F({0, 1, 3, 4}), F({2, 3, 4, 5})), a=4,
+)
 
 
 @pytest.mark.parametrize("L, b, witness, color_nodes, decide_nodes", [
     (C5_LISTS, 1, ({0}, {1}, {0}, {1}, {2}), 6, 1),
     (C5_LISTS, 2, None, 7, 1),
     (K4E_LISTS, 2, ({0, 1}, {4, 5}, {2, 3}, {0, 1}), 5, 2),
+    (PATH_RISING, 1, ({1}, {0}, {2}, {3}, {4}, {5}), 7, 1),
+    (PATH_SHUFFLED, 2, ({0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {3, 4}), 7, 1),
 ])
 def test_list_coloring_node_counts_frozen(L, b, witness, color_nodes, decide_nodes):
     out = color_with_lists(L, b)
