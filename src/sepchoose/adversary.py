@@ -10,8 +10,9 @@ are byte-stable.
 
 Generators raise on out-of-regime parameters instead of clamping: each
 layout's uncolorability argument is regime-bound, and a clamped instance
-would carry an unverifiable claim.  They also refuse a certificate of more
-than 10^6 vertices, before allocating any of it.
+would carry an unverifiable claim.  They also refuse, before allocating
+any of it, a certificate whose vertices and list entries would not fit in
+1 GiB.
 """
 
 from __future__ import annotations
@@ -91,9 +92,15 @@ def _cert(g: Graph, lists, a: int, b: int, c: int, family: str, precolored: int 
     return Certificate(b=b, c=c, assignment=L, claim="uncolorable", family=family)
 
 
-def _affordable(n: int) -> None:
-    if n > 10**6:
-        raise ValueError(f"the certificate would have {n} vertices, more than 1000000")
+def _affordable(n: int, a: int) -> None:
+    """Refuse a certificate of n vertices with a-lists that may not fit in
+    1 GiB.  Generating one and printing its JSON peaked at up to 1.1 kB per
+    vertex plus 0.16 kB per list entry (vertices times list size) on
+    CPython 3.11, so the estimate is capped well below 1 GiB."""
+    mb = n * (1100 + 160 * a) // 10**6
+    if mb > 640:
+        raise ValueError(f"the certificate would take about {mb} MB ({n} vertices with lists of {a} colors), "
+                         "more than 640 MB")
 
 
 def _ring(n: int, shared: int, edge: int, private: int) -> tuple[ColorSet, ...]:
@@ -114,7 +121,7 @@ def gen_sep_small_ratio(n: int, b: int, k: int) -> Certificate:
         raise ValueError("cycle needs n >= 3")
     if not (0 <= k < b):
         raise ValueError(f"need 0 <= k < b, got k={k}, b={b}")
-    _affordable(n)
+    _affordable(n, b + k)
     return _cert(build_cycle(n), _ring(n, 1, k, b - k - 1), b + k, b, k + 1, "cycle-small-ratio")
 
 
@@ -126,7 +133,7 @@ def gen_sep_odd_cycle(p: int, b: int, alpha: int) -> Certificate:
     if alpha < 0 or p * alpha > b - 1:
         raise ValueError(f"need 0 <= alpha and p*alpha <= b-1, got p={p}, b={b}, alpha={alpha}")
     n = 2 * p + 1
-    _affordable(n)
+    _affordable(n, 2 * b + alpha)
     lists = _ring(n, n * alpha + 2, b - p * alpha - 1, 0)
     return _cert(build_cycle(n), lists, 2 * b + alpha, b, b + (p + 1) * alpha + 1, "cycle-odd-saturated")
 
@@ -170,7 +177,7 @@ def gen_path_family(n: int, a: int, b: int, variant: str, endpoints: str = "equa
         raise AssertionError("low regime guarantees c <= b")
     if variant == "case2b" and c < b + 1:
         raise AssertionError("middle regime guarantees c >= b+1")
-    _affordable(n + 1)
+    _affordable(n + 1, a)
 
     alloc = _Alloc()
     B = Bp = alloc.fresh(b)
@@ -259,7 +266,7 @@ def gen_flower(p: int, a: int, b: int) -> Certificate:
         raise ValueError("cycle copies need p >= 3")
     if not (1 <= b <= a):
         raise ValueError("need 1 <= b <= a")
-    _affordable(math.comb(a, b) * (p - 1) + 1)
+    _affordable(math.comb(a, b) * (p - 1) + 1, a)
     c = fsep_cycle(p, a, b).value + 1
     if c > a:
         raise ValueError(f"pinned-cycle value equals a at (p={p}, a={a}, b={b}); no counterexample exists")

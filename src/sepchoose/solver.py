@@ -1,37 +1,39 @@
 """Exact decisions: (L,b)-colorability and (a,b,c)-choosability by search.
 
-One private search core, _solve_masks, works on color bitmasks: it
-backtracks over vertices, splits the uncolored rest into components, and
-sends path and cycle components to a shadow DP (after choosing phi at
-position i, later positions only see phi(i) & L(i+1), and only the
-inclusion-minimal shadows matter).  Its memo is keyed by (component,
-effective masks): a component's subproblem is fixed by its lists minus the
-colors of its colored neighbours.  A graph's path or cycle annotation is
-read in one place, _line: a graph annotated as one path or cycle has its
-lists turned into masks in line order and goes straight to its kernel
-before any search machinery is built, and decide_choosable sends each
-instance of such a graph to _on_line itself.
+One private search core, _solve_masks, works on color bitmasks.  It
+extends the smallest uncolored vertex and solves the components of the
+rest independently, so it meets the nodes of the graph's elimination tree,
+built once per graph (_EliminationTree).  Path and cycle nodes go to a
+shadow DP (after choosing phi at position i, later positions only see
+phi(i) & L(i+1), and only the inclusion-minimal shadows matter).  The memo
+is keyed by a node and its boundary's masks less its colored neighbours'
+colors.  A graph's path or cycle annotation is read in one place, _line: a
+graph annotated as one path or cycle has its lists turned into masks in
+line order and goes straight to its kernel before any search machinery is
+built, and decide_choosable sends each instance of such a graph to _on_line
+itself.
 Decision mode, behind decide_with_lists, returns only the verdict; it
 trusts a kernel's "yes" and memoizes successes as well as failures.
 Witness mode, behind color_with_lists, builds the lex-least coloring and
-memoizes failures only.  It colors a path component without backtracking:
+memoizes failures only.  It colors a path node without backtracking:
 one DP sweep from each end gives, at every position, the minimal shadows
 that the rest of the path needs, and each vertex, smallest first, takes
 the first b-subset that misses one from each side (_path_witness).  When
 vertex numbers rise or fall along the path, that costs the decision
 kernel's one sweep (n - 1 shadow-DP steps) plus one candidate scan per
-vertex.  A cycle component fixes its smallest vertex per candidate and
+vertex.  A cycle node fixes its smallest vertex per candidate and
 colors the path that is left (_cycle_witness).
 Frozenset lists appear only at the public edges.  The search runs on an
-explicit stack of generators, one per open component, so its depth is
+explicit stack of generators, one per open node, so its depth is
 bounded by memory, not by the interpreter's recursion limit, which it
 never touches.
 
 Each public call keeps one node count (_budget), and every stage charges
 it: the automorphism search, the trace universe, the enumeration, the
 kernels and the core.  compute_sep sets a graph up once (_pins: its
-automorphisms, the roots, their stabilisers and lines) and each root's
-level plan on its first use, so one budget covers its whole scan over c.
+automorphisms, the roots, their stabilisers and lines, and its elimination
+tree) and each root's level plan on its first use, so one budget covers
+its whole scan over c.
 
 Choosability enumerates list assignments up to color relabeling (trace
 multisets).  A color whose trace induces a disconnected subgraph can be
@@ -78,6 +80,7 @@ for this subtree, and a tie leaves it for later classes.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial, reduce
 from operator import and_, itemgetter
@@ -336,97 +339,147 @@ def _on_line(shape, line, b: int, want_witness: bool, bump):
     return (_cycle_witness if cyclic else _path_witness)(line, order, b, bump)
 
 
-def _solve_masks(g: Graph, masks, b: int, bump, want_witness: bool):
-    """Can every vertex v take b colors of masks[v], adjacent vertices
-    disjoint?  Returns (colorable, phimask); phimask maps vertices to their
-    chosen color masks and is None unless want_witness and colorable.  Each
-    search node and each kernel call charges bump.
+class _EliminationTree:
+    """The components the search core meets on one graph.  The node of v is
+    the component of v in G[{u >= v}], and its children are the components
+    of that set minus v (Liu 1990).  One union-find pass in decreasing
+    vertex order finds each node's children (ascending), size, and kind:
+    None, or a path (False) or cycle (True) when its degrees are at most 2,
+    a cycle having as many edges as vertices.  A line's order is found on
+    its first use, and a node's boundary when its parent is first expanded,
+    so a search pays only for the nodes it reaches."""
 
-    Always extends the smallest uncolored vertex and solves the components
-    of the rest independently, so lex-least pieces assemble the lex-least
-    witness; path and cycle components get theirs from the witness walks,
-    which make the same choices.  A kernel's "no" is final, and in decision
-    mode so is its "yes": sibling components are never adjacent, so nothing
-    reads the colors it leaves unset.  Its callers check that b >= 1 and
+    def __init__(self, g: Graph):
+        n, adj = g.n, g.adj
+        self.adj = adj
+        up, self.parent, self.kids = list(range(n)), [-1] * n, [[] for _ in range(n)]
+        deg, self.size, edges, peak = [0] * n, [1] * n, [0] * n, [0] * n
+        for v in range(n - 1, -1, -1):
+            higher = [u for u in adj[v] if u > v]
+            deg[v] = edges[v] = peak[v] = len(higher)
+            for u in higher:
+                deg[u] += 1
+                peak[v] = max(peak[v], deg[u])
+                r = u  # u's union-find root, which is its component's smallest vertex
+                while up[r] != r:
+                    r = up[r]
+                while up[u] != r:
+                    up[u], u = r, up[u]
+                if r != v:
+                    up[r] = self.parent[r] = v
+                    self.kids[v].append(r)
+                    self.size[v] += self.size[r]
+                    edges[v] += edges[r]
+                    peak[v] = max(peak[v], peak[r])
+            self.kids[v].sort()
+        self.kind = [None if peak[v] > 2 else edges[v] == self.size[v] for v in range(n)]
+        self.roots = [v for v in range(n) if self.parent[v] < 0]
+        # preorder, children ascending: a node's component is pre[tin[v]:tin[v] + size[v]]
+        self.pre, self.tin, stack = [], [0] * n, self.roots[::-1]
+        while stack:
+            v = stack.pop()
+            self.tin[v] = len(self.pre)
+            self.pre.append(v)
+            stack.extend(reversed(self.kids[v]))
+        self._lines: dict = {}
+        self._bounds: dict = dict.fromkeys(self.roots, ())
+
+    def line(self, v: int):
+        """(cyclic, order) of a line node: from its smallest end, or from v
+        along its smaller neighbour for a cycle."""
+        got = self._lines.get(v)
+        if got is None:
+            comp = self.pre[self.tin[v]:self.tin[v] + self.size[v]]
+            nbrs = {u: [w for w in self.adj[u] if w >= v] for u in comp}
+            ends = [u for u, ns in nbrs.items() if len(ns) < 2]
+            order, prev = [min(ends) if ends else v], None
+            while len(order) < len(nbrs):
+                prev, nxt = order[-1], min(w for w in nbrs[order[-1]] if w != prev)
+                order.append(nxt)
+            got = self._lines[v] = (not ends, order)
+        return got
+
+    def bound(self, v: int) -> tuple:
+        """v's boundary: (u, u's neighbours below v) for each vertex u of the
+        node that has one, u ascending.  Those neighbours are ancestors."""
+        path, tin = [v], self.tin
+        while path[-1] not in self._bounds:
+            path.append(self.parent[path[-1]])
+        for p in reversed(path[1:]):
+            # a child gets the part of p's boundary inside it, and p's
+            # neighbours inside it gain p
+            kids = self.kids[p]
+            starts, parts = [tin[c] for c in kids], {c: {} for c in kids}
+            for u, lows in self._bounds[p]:
+                if u != p:
+                    parts[kids[bisect_right(starts, tin[u]) - 1]][u] = lows
+            for u in self.adj[p]:
+                if u > p:
+                    part = parts[kids[bisect_right(starts, tin[u]) - 1]]
+                    part[u] = part.get(u, ()) + (p,)
+            for c, part in parts.items():
+                self._bounds[c] = tuple(sorted(part.items()))
+        return self._bounds[v]
+
+
+def _solve_masks(tree: _EliminationTree, masks, b: int, bump, want_witness: bool):
+    """Can every vertex v take b colors of masks[v], adjacent vertices
+    disjoint?  Returns (colorable, phimask): the chosen masks by vertex, or
+    None unless want_witness and colorable.  Each search node and each
+    kernel call charges bump.
+
+    Walks tree: a node extends its smallest vertex and solves its children
+    independently, so lex-least pieces assemble the lex-least witness, and
+    line nodes get theirs from the witness walks, which choose alike.  A
+    node reads only its boundary's neighbours, all colored ancestors, so a
+    failed candidate leaves nothing to clear, and the memo key is the node
+    with its boundary's masks less those colors.  A kernel's "no" is final,
+    and in decision mode so is its "yes": sibling nodes are never adjacent,
+    so nothing reads the colors it leaves unset.  Callers check b >= 1 and
     send a graph annotated as one path or cycle to _on_line instead.
     """
-    adj = g.adj
-    phimask: dict[int, int] = {}
+    kids, kind = tree.kids, tree.kind
+    phimask = [0] * len(masks)
     memo: dict = {}
 
-    def split(verts: tuple) -> list[tuple]:
-        # verts is sorted, so components come out ordered by their minimum
-        left = set(verts)
-        comps = []
-        for seed in verts:
-            if seed in left:
-                left.discard(seed)
-                comp = [seed]
-                for u in comp:
-                    for w in adj[u]:
-                        if w in left:
-                            left.discard(w)
-                            comp.append(w)
-                comps.append(tuple(sorted(comp)))
-        return comps
-
-    def shape_of(comp_t):
-        # components are connected, so degree <= 2 makes a path or a cycle;
-        # returns (cyclic, order), and a cycle's order starts at its minimum
-        compset = set(comp_t)
-        nbrs = {v: [w for w in adj[v] if w in compset] for v in comp_t}
-        if any(len(ns) > 2 for ns in nbrs.values()):
-            return None
-        ends = [v for v in comp_t if len(nbrs[v]) < 2]
-        order, prev = [ends[0] if ends else comp_t[0]], None
-        while len(order) < len(comp_t):
-            prev, nxt = order[-1], min(w for w in nbrs[order[-1]] if w != prev)
-            order.append(nxt)
-        return not ends, order
-
-    def solve(comp_t: tuple):
-        # a generator: it yields each sub-component it needs decided and is
-        # sent back that component's verdict; it returns its own verdict
+    def solve(v: int):
+        # a generator: it yields each child it needs decided and is sent back
+        # that child's verdict; it returns its own verdict
         eff = {}
-        for v in comp_t:
+        for u, lows in tree.bound(v):
             used = 0
-            for u in adj[v]:
-                if u in phimask:
-                    used |= phimask[u]
-            eff[v] = masks[v] & ~used
-        key = (comp_t, tuple(eff.values()))
+            for x in lows:
+                used |= phimask[x]
+            eff[u] = masks[u] & ~used
+        key = (v, *eff.values())
         hit = memo.get(key)
         if hit is not None:
             return hit
-        shape = shape_of(comp_t)
-        if shape is not None:
-            got = _on_line(shape, [eff[v] for v in shape[1]], b, want_witness, bump)
+        if kind[v] is not None:
+            shape = tree.line(v)
+            got = _on_line(shape, [eff.get(u, masks[u]) for u in shape[1]], b, want_witness, bump)
             if want_witness and got:
-                phimask.update(zip(shape[1], got))
+                for u, m in zip(shape[1], got):
+                    phimask[u] = m
                 return True
             ok = memo[key] = bool(got)
             return ok
-        v = comp_t[0]
-        rest = comp_t[1:]
-        for cand in _subsets(eff[v], b):
+        for cand in _subsets(eff.get(v, masks[v]), b):
             bump()
             phimask[v] = cand
-            for sub in split(rest):
-                if not (yield sub):
+            for c in kids[v]:
+                if not (yield c):
                     break
             else:
                 if not want_witness:
                     memo[key] = True
                 return True
-            for u in rest:
-                phimask.pop(u, None)
-            del phimask[v]
         memo[key] = False
         return False
 
-    def run(comp_t: tuple) -> bool:
+    def run(v: int) -> bool:
         # runs solve on an explicit stack, so depth costs no Python frames
-        stack, verdict = [solve(comp_t)], None
+        stack, verdict = [solve(v)], None
         while stack:
             try:
                 sub = stack[-1].send(verdict)
@@ -438,7 +491,7 @@ def _solve_masks(g: Graph, masks, b: int, bump, want_witness: bool):
                 verdict = None
         return verdict
 
-    ok = all(run(comp) for comp in split(tuple(range(len(masks)))))
+    ok = all(run(r) for r in tree.roots)
     return ok, (phimask if ok and want_witness else None)
 
 
@@ -454,7 +507,7 @@ def _solve_lists(L: ListAssignment, b: int, budget: int | None, want_witness: bo
     sorted color universe, the core runs, and a witness's masks come back
     as frozensets of colors.  A graph annotated as one path or cycle (_line)
     has its lists turned into masks in line order and goes straight to its
-    kernel, without the split, the memo or the search stack."""
+    kernel, without the elimination tree, the memo or the search stack."""
     if b < 1:
         raise ValueError("b must be positive")
     lists = L.lists
@@ -467,7 +520,7 @@ def _solve_lists(L: ListAssignment, b: int, budget: int | None, want_witness: bo
     whole = _line(L.graph)
     if whole is None:
         universe, masks = _lists_to_masks(lists)
-        ok, phimask = _solve_masks(L.graph, masks, b, bump, want_witness)
+        ok, phimask = _solve_masks(_EliminationTree(L.graph), masks, b, bump, want_witness)
     else:
         order = whole[1]
         universe, line = _lists_to_masks([lists[v] for v in order])
@@ -717,25 +770,29 @@ def _entries_to_masks(n: int, shared, singles):
     return masks
 
 
-def _pins(g: Graph, free: bool, bump) -> list[tuple]:
-    """(root, plan, line) per pinned root: without free the one root None
-    under all of g's automorphisms; with it the first root of each orbit in
-    cycle_order, path_order, range(n) under its stabiliser.  plan() is the
-    saturated, orbit-pruned _level_plan, built and charged on its first
-    call only, so a scan over c sets each root up once.  line is
+def _pins(g: Graph, free: bool, bump) -> tuple:
+    """(tree, pins): g's _EliminationTree (None when g is annotated as a
+    path or cycle) and (root, plan, line) per pinned root: without free the
+    one root None under all of g's automorphisms; with it the first root of
+    each orbit in cycle_order, path_order, range(n) under its stabiliser.
+    plan() is the saturated, orbit-pruned _level_plan, built and charged on
+    its first call only, so a scan over c sets each root up once.  line is
     _line(g, root)."""
     group = _automorphisms(g, bump)
     cands = (g.cycle_order or ()) + (g.path_order or ()) + tuple(range(g.n)) if free else (None,)
     # the first candidate of each orbit: no automorphism maps it to an earlier one
     roots = [r for i, r in enumerate(cands) if not free or all(p[r] not in cands[:i] for p in group)]
-    return [(r, cache(partial(_level_plan, g, True, bump, True, [p for p in group if r is None or p[r] == r])),
-             _line(g, r)) for r in roots]
+    tree = None if _line(g) else _EliminationTree(g)
+    return tree, [(r, cache(partial(_level_plan, g, True, bump, True, [p for p in group if r is None or p[r] == r])),
+                   _line(g, r)) for r in roots]
 
 
-def _counterexample(g: Graph, a: int, b: int, c: int, pins, bump) -> ListAssignment | None:
+def _counterexample(g: Graph, a: int, b: int, c: int, setup, bump) -> ListAssignment | None:
     """The first c-separating instance with a-lists (b at the root) that is
-    not (L,b)-colorable, realized, or None.  Each instance is one node: the
-    cycle or path kernel's, or one before the search core's own."""
+    not (L,b)-colorable, realized, or None; setup is _pins'.  Each instance
+    is one node: the cycle or path kernel's, or one before the search
+    core's own."""
+    tree, pins = setup
     for r, plan, line in pins:
         cap = [b if v == r else a for v in range(g.n)]
         for shared, singles in _enumerate_entries(plan(), cap, c):
@@ -744,7 +801,7 @@ def _counterexample(g: Graph, a: int, b: int, c: int, pins, bump) -> ListAssignm
                 ok = _on_line(line, [masks[v] for v in line[1]], b, False, bump)
             else:
                 bump()
-                ok = _solve_masks(g, masks, b, bump, False)[0]
+                ok = _solve_masks(tree, masks, b, bump, False)[0]
             if not ok:
                 return realize(_entries_to_multiset(shared, singles), g, a, precolored=r)
     return None

@@ -530,23 +530,33 @@ def test_huge_n_is_rejected_before_allocation(tmp_path, argv, message):
     assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
-# without the refusal each of these certificates exhausts memory
+# without the refusal each of these certificates exhausts memory; the
+# estimate is n * (1100 + 160 a) bytes for n vertices with a-lists
 OVERSIZED = [
-    ("small-ratio --n 100000000 --b 2 --k 1", 100_000_000),
-    ("odd-cycle --p 100000000 --b 2 --alpha 0", 200_000_001),
-    ("path --n 100000000 --a 7 --b 4 --variant case1", 100_000_001),
-    ("flower --p 3 --a 22 --b 11", 1_410_865),
+    ("small-ratio --n 100000000 --b 2 --k 1", "158000 MB (100000000 vertices with lists of 3 colors)"),
+    ("odd-cycle --p 100000000 --b 2 --alpha 0", "348000 MB (200000001 vertices with lists of 4 colors)"),
+    ("path --n 100000000 --a 7 --b 4 --variant case1", "222000 MB (100000001 vertices with lists of 7 colors)"),
+    ("flower --p 3 --a 22 --b 11", "6518 MB (1410865 vertices with lists of 22 colors)"),
+    # 554,269 vertices: few enough for a vertex count alone, yet it peaked at 1.76 GB
+    ("flower --p 4 --a 20 --b 10", "2383 MB (554269 vertices with lists of 20 colors)"),
 ]
 
 
-@pytest.mark.parametrize("args, n", OVERSIZED, ids=[args.split()[0] for args, _ in OVERSIZED])
-def test_oversized_certificate_is_refused_before_allocation(tmp_path, args, n):
+@pytest.mark.parametrize("args, size", OVERSIZED, ids=["small-ratio", "odd-cycle", "path", "flower", "flower-p4"])
+def test_oversized_certificate_is_refused_before_allocation(tmp_path, args, size):
     t0 = time.perf_counter()
     proc = _cli_child("adversary", *args.split(), cwd=tmp_path)
     assert time.perf_counter() - t0 < 1
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == f"error: the certificate would have {n} vertices, more than 1000000\n"
+    assert proc.stderr == f"error: the certificate would take about {size}, more than 640 MB\n"
     assert proc.stdout == ""
+
+
+def test_admitted_certificate_fits_in_a_limited_child(tmp_path):
+    # 38,611 vertices with 16-lists, estimated at 141 MB
+    proc = _cli_child("adversary", "flower", "--p", "4", "--a", "16", "--b", "8", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["graph"]["n"] == 38_611
 
 
 # one valid input set per file-reading command; the fuzz test mutates one field of one file

@@ -413,6 +413,80 @@ def test_compute_sep_sets_each_graph_up_once():
     assert ei.value.nodes_explored == 46
 
 
+def test_each_graph_gets_one_elimination_tree(monkeypatch):
+    builds = []
+
+    class Counted(solver._EliminationTree):
+        def __init__(self, g):
+            builds.append(g)
+            super().__init__(g)
+
+    monkeypatch.setattr(solver, "_EliminationTree", Counted)
+    # a free scan over c = 4, 3, 2, 1 on C3.C4 pins several roots, and every
+    # root's instances reach the core
+    assert compute_sep(C3C4, 4, 2, free=True) == 1
+    assert not decide_choosable(C3C4, 2, 1, 1, free=True).colorable
+    L = ListAssignment(graph=K4E, lists=(F({0, 1, 2}),) * 4, a=3)
+    assert color_with_lists(L, 1).colorable and not decide_with_lists(L, 2).colorable
+    assert builds == [C3C4, C3C4, K4E, K4E]
+    builds.clear()
+    for g in (build_cycle(5), build_path(4)):
+        compute_sep(g, 3, 1, free=True)
+        decide_choosable(g, 2, 1, 1)
+        color_with_lists(ListAssignment(graph=g, lists=(F({0, 1, 2}),) * g.n, a=3), 1)
+    assert builds == []
+
+
+@st.composite
+def small_graphs(draw):
+    # connected or not, isolated vertices allowed
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return _graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+def _split(g, verts):
+    """The components of g[verts], as sets."""
+    left, comps = set(verts), []
+    while left:
+        comp, todo = set(), [left.pop()]
+        while todo:
+            u = todo.pop()
+            comp.add(u)
+            todo += g.adj[u] & left
+            left -= g.adj[u]
+        comps.append(comp)
+    return comps
+
+
+@seed(20261019)
+@settings(max_examples=400, deadline=None, database=None)
+@given(small_graphs())
+def test_elimination_tree_matches_brute_force_split(g):
+    tree = solver._EliminationTree(g)
+    assert tree.roots == sorted(map(min, _split(g, range(g.n))))
+    for v in range(g.n):
+        comp = next(c for c in _split(g, range(v, g.n)) if v in c)
+        assert sorted(tree.pre[tree.tin[v]:tree.tin[v] + tree.size[v]]) == sorted(comp)
+        # the children are the components of comp minus v, by their smallest vertex
+        assert tree.kids[v] == sorted(map(min, _split(g, comp - {v})))
+        degree = {u: len(g.adj[u] & comp) for u in comp}
+        edges = sum(degree.values()) // 2
+        kind = None if max(degree.values()) > 2 else edges == len(comp)
+        assert tree.kind[v] == kind
+        if kind is not None:
+            cyclic, order = tree.line(v)
+            assert cyclic == kind and sorted(order) == sorted(comp)
+            steps = list(zip(order, order[1:] + order[:1] if cyclic else order[1:]))
+            assert all(q in g.adj[p] for p, q in steps)
+            if cyclic:  # from v towards its smaller neighbour
+                assert order[0] == v and order[1] < order[-1]
+            else:  # from the smallest end
+                assert order[0] == min(u for u in comp if degree[u] < 2)
+        lows = {u: sorted(w for w in g.adj[u] if w < v) for u in sorted(comp)}
+        assert [(u, sorted(xs)) for u, xs in tree.bound(v)] == [(u, xs) for u, xs in lows.items() if xs]
+
+
 @pytest.mark.parametrize("g, a, b, c, free, colorable, nodes", [
     (build_cycle(5), 3, 1, 2, False, True, 69),
     (build_cycle(5), 3, 1, 2, True, True, 66),
@@ -499,6 +573,17 @@ def test_deep_search_leaves_recursion_limit_alone(monkeypatch):
     out = color_with_lists(L, 1)
     assert out.colorable and is_valid_coloring(L, out.witness, 1)
     assert sys.getrecursionlimit() == limit
+
+
+def test_easy_long_ladder_colors():
+    # the same ladder at 5,000 vertices, with random 4-lists from 40 colors;
+    # correctness only: CI times a 20,000-vertex one
+    n, rng = 5000, random.Random(5000)
+    edges = [(v, v + 1) for v in range(0, n, 2)] + [(v, v + 2) for v in range(n - 2)]
+    lists = tuple(F(rng.sample(range(40), 4)) for _ in range(n))
+    L = ListAssignment(graph=_graph(n, edges), lists=lists, a=4)
+    out = color_with_lists(L, 1)
+    assert out.colorable and is_valid_coloring(L, out.witness, 1)
 
 
 def _first_uncolorable(g, a, b, c, free):

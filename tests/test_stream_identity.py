@@ -68,7 +68,7 @@ def _cells(name, g):
 
 
 def _saturated_walk(g, a, b, c, free):
-    for r, plan, _ in _pins(g, free, lambda: None):
+    for r, plan, _ in _pins(g, free, lambda: None)[1]:
         cap = [b if v == r else a for v in range(g.n)]
         for shared, singles in _enumerate_entries(plan(), cap, c):
             yield r, shared, singles
