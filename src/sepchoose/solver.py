@@ -7,22 +7,22 @@ built once per graph (_EliminationTree).  Path and cycle nodes go to a
 shadow DP (after choosing phi at position i, later positions only see
 phi(i) & L(i+1), and only the inclusion-minimal shadows matter).  The memo
 is keyed by a node and its boundary's masks less its colored neighbours'
-colors.  A graph's path or cycle annotation is read in one place, _line: a
-graph annotated as one path or cycle has its lists turned into masks in
-line order and goes straight to its kernel before any search machinery is
-built, and decide_choosable sends each instance of such a graph to _on_line
-itself.
-Decision mode, behind decide_with_lists, returns only the verdict; it
-trusts a kernel's "yes" and memoizes successes as well as failures.
+colors.  A graph annotated as one path or cycle (read in one place, _line)
+has its lists turned into masks in line order and goes straight to its
+kernel before any search machinery is built; decide_choosable sends each of
+its instances to _on_line itself.  Decision mode, behind decide_with_lists,
+returns only the verdict; it trusts a kernel's "yes", memoizes successes
+and failures, counts a line's last step instead of listing its shadows, and
+runs a cycle as paths from position 1.
 Witness mode, behind color_with_lists, builds the lex-least coloring and
 memoizes failures only.  It colors a path node without backtracking:
 one DP sweep from each end gives, at every position, the minimal shadows
 that the rest of the path needs, and each vertex, smallest first, takes
 the first b-subset that misses one from each side (_path_witness).  When
-vertex numbers rise or fall along the path, that costs the decision
-kernel's one sweep (n - 1 shadow-DP steps) plus one candidate scan per
-vertex.  A cycle node fixes its smallest vertex per candidate and
-colors the path that is left (_cycle_witness).
+vertex numbers rise or fall along the path, that costs one sweep (n - 1
+shadow-DP steps) plus one candidate scan per vertex.  A cycle node fixes
+its smallest vertex per candidate and colors the path that is left
+(_cycle_witness).
 Frozenset lists appear only at the public edges.  The search runs on an
 explicit stack of generators, one per open node, so its depth is
 bounded by memory, not by the interpreter's recursion limit, which it
@@ -173,32 +173,37 @@ def _advance(states, mask_i: int, next_mask: int, b: int):
     return tuple(kept)
 
 
-def _path_colorable(masks, b: int) -> bool:
-    states = (0,)
-    for i in range(len(masks) - 1):
+def _path_colorable(masks, b: int, start: int = 0, states=(0,), closing: int = 0) -> bool:
+    """Whether positions start.. of a line color, given the minimal shadows
+    at start and colors closing barred from the last position.  The last
+    step is counted: a shadow s on the second-last position leaves avail =
+    masks[-2] & ~s, whose b colors must put at most |last| - b in last."""
+    last = masks[-1] & ~closing
+    room = last.bit_count() - b
+    if room < 0 or len(masks) == 1:
+        return room >= 0
+    for i in range(start, len(masks) - 2):
         states = _advance(states, masks[i], masks[i + 1], b)
         if not states:
             return False
-    return any((masks[-1] & ~s).bit_count() >= b for s in states)
+    for s in states:
+        avail = masks[-2] & ~s
+        if avail.bit_count() >= b and b - (avail & ~last).bit_count() <= room:
+            return True
+    return False
 
 
 def _cycle_colorable(masks, b: int) -> bool:
-    n = len(masks)
-    first = masks[0]
-    seen_pairs = set()
-    for m0 in _ksubsets(first, b):
-        pair = (m0 & masks[1], m0 & masks[n - 1])
-        if pair in seen_pairs:
-            continue
-        seen_pairs.add(pair)
-        states = (pair[0],)
-        for i in range(1, n - 1):
-            states = _advance(states, masks[i], masks[i + 1], b)
-            if not states:
-                break
-        closing = pair[1]
-        for s in states:
-            if (masks[n - 1] & ~s & ~closing).bit_count() >= b:
+    """Whether a cycle colors.  A b-subset m0 of position 0 reaches the rest
+    only through (m0 & masks[1], m0 & masks[-1]), so each distinct pair runs
+    the path DP once, from position 1 with the first as its shadow and the
+    second as the last position's closing colors."""
+    seen = set()
+    for m0 in _ksubsets(masks[0], b):
+        pair = (m0 & masks[1], m0 & masks[-1])
+        if pair not in seen:
+            seen.add(pair)
+            if _path_colorable(masks, b, 1, (pair[0],), pair[1]):
                 return True
     return False
 

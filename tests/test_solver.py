@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import sys
@@ -342,6 +343,59 @@ def test_path_witness_is_one_sweep(monkeypatch, n, falling, b):
     out = color_with_lists(ListAssignment(graph=g, lists=lists, a=2 * b), b)
     assert out.colorable
     assert len(calls) == n - 1
+
+
+def _brute_line_colorable(masks, b, cyclic):
+    """Every b-subset choice along the line, position by position; a choice
+    depends only on its left neighbour's (and, closing a cycle, on
+    position 0's), so the search is memoized on those."""
+    def choices(mask):
+        bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+        return [sum(c) for c in itertools.combinations(bits, b)]
+
+    def rest(i, prev, first):
+        if i == len(masks):
+            return True
+        barred = prev | (first if cyclic and i == len(masks) - 1 else 0)
+        return any(memo(i + 1, phi, first) for phi in choices(masks[i] & ~barred))
+
+    memo = functools.cache(rest)
+    return any(memo(1, phi, phi) for phi in choices(masks[0]))
+
+
+def test_line_kernels_match_brute_force():
+    # the decision kernels count the last step; a last list shorter than b
+    # must fail however many colors the step before it has to spare
+    assert solver._path_colorable([0b1110, 0b1], 2) is False
+    # on this C_3, position 0's one color is the last position's closing
+    # color and leaves it none, though position 1 has a color to spare
+    assert solver._cycle_colorable([0b1, 0b110, 0b1], 1) is False
+    assert solver._cycle_colorable([0b1, 0b110, 0b11], 1) is True
+    # a 1-position path colors iff its list holds b colors
+    assert [solver._path_colorable([m], 2) for m in (0b1, 0b101, 0b111)] == [False, True, True]
+    rng = random.Random(20201018)
+    for _ in range(3000):
+        b, n = rng.randint(1, 3), rng.randint(1, 7)
+        width = rng.randint(b, 3 * b + 2)
+        masks = [sum(1 << c for c in rng.sample(range(width), rng.randint(max(0, b - 1), min(width, 2 * b + 1))))
+                 for _ in range(n)]
+        assert solver._path_colorable(masks, b) == _brute_line_colorable(masks, b, False), (masks, b)
+        if n >= 3:
+            assert solver._cycle_colorable(masks, b) == _brute_line_colorable(masks, b, True), (masks, b)
+
+
+@pytest.mark.parametrize("b", [1, 2])
+def test_decision_kernels_count_the_last_step(monkeypatch, b):
+    # the path DP lists shadows up to the second-last position only: n - 2
+    # _advance calls on P_n, and none on C_3, whose runs start there
+    calls = []
+    advance = solver._advance
+    monkeypatch.setattr(solver, "_advance", lambda *args: calls.append(args) or advance(*args))
+    for g, expected in ((build_path(2), 0), (build_path(3), 1), (build_path(9), 7), (build_cycle(3), 0)):
+        lists = tuple(F((i * b + k) % (3 * b) for k in range(2 * b)) for i in range(g.n))
+        calls.clear()
+        assert decide_with_lists(ListAssignment(graph=g, lists=lists, a=2 * b), b).colorable
+        assert len(calls) == expected
 
 
 def test_easy_long_path_witness():
