@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .formulas import c_threshold, fsep_cycle
 from .graphs import Graph, _check, build_cycle, build_flower, build_path, graph_from_json_dict, identify_vertices
-from .lists import _ASSIGNMENT, ColorSet, ListAssignment, _lists_for, separation
+from .lists import _ASSIGNMENT, ColorSet, ListAssignment, _check_ab, _lists_for, separation
 from .solver import decide_with_lists
 
 __all__ = [
@@ -68,8 +68,8 @@ class Certificate:
 class _Alloc:
     """Hands out consecutive color ids in construction order."""
 
-    def __init__(self, start: int = 0):
-        self.next = start
+    def __init__(self):
+        self.next = 0
 
     def fresh(self, count: int) -> tuple[int, ...]:
         if count < 0:
@@ -77,13 +77,6 @@ class _Alloc:
         block = tuple(range(self.next, self.next + count))
         self.next += count
         return block
-
-
-def _fset(*parts) -> ColorSet:
-    out = set()
-    for p in parts:
-        out.update(p)
-    return frozenset(out)
 
 
 def _cert(g: Graph, lists, a: int, b: int, c: int, family: str, precolored: int | None = None) -> Certificate:
@@ -110,7 +103,7 @@ def _ring(n: int, shared: int, edge: int, private: int) -> tuple[ColorSet, ...]:
     C = alloc.fresh(shared)
     D = [alloc.fresh(edge) for _ in range(n)]
     F = [alloc.fresh(private) for _ in range(n)]
-    return tuple(_fset(C, D[i], D[(i + 1) % n], F[i]) for i in range(n))
+    return tuple(frozenset().union(C, D[i], D[(i + 1) % n], F[i]) for i in range(n))
 
 
 def gen_sep_small_ratio(n: int, b: int, k: int) -> Certificate:
@@ -156,8 +149,7 @@ def gen_path_family(n: int, a: int, b: int, variant: str, endpoints: str = "equa
     """
     if n < 4:
         raise ValueError("need n >= 4; the n = 3 layout is not claimed tight")
-    if not (1 <= b <= a):
-        raise ValueError("need 1 <= b <= a")
+    _check_ab(a, b)
     if endpoints not in ("equal", "disjoint"):
         raise ValueError(f"unknown endpoints mode {endpoints!r}")
     t = c_threshold(n, a, b)
@@ -192,7 +184,7 @@ def gen_path_family(n: int, a: int, b: int, variant: str, endpoints: str = "equa
             pinned = pinned[:c]
         tail = prev[-keep:] if keep else ()
         prev = alloc.fresh(a - len(pinned) - keep)
-        rows.append(_fset(pinned, tail, prev))
+        rows.append(frozenset().union(pinned, tail, prev))
     rows.append(frozenset(Bp))
     return _cert(build_path(n + 1), rows, a, b, c, f"path-{variant}")
 
@@ -209,8 +201,7 @@ def gen_c3_family(a: int, b: int, variant: str) -> Certificate:
     the b > 2c corner where the naive t = b-c overflows; case2_high (a >= 2b)
     re-enters the whole pinned block, (h, t, s) = (b, b, c-b).
     """
-    if not (1 <= b <= a):
-        raise ValueError("need 1 <= b <= a")
+    _check_ab(a, b)
     if variant == "case1":
         if not 4 * a < 7 * b:
             raise ValueError(f"case1 needs a < 7b/4, got a={a}, b={b}")
@@ -225,11 +216,12 @@ def gen_c3_family(a: int, b: int, variant: str) -> Certificate:
         c = 2 * a - 3 * b + 1
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    _affordable(3, a)
     h, t, s = (b, b, c - b) if variant == "case2_high" else (c, min(b - c, c), min(c, a - c))
     alloc = _Alloc()
     B = alloc.fresh(b)
     A = alloc.fresh(a - h)
-    lists = (frozenset(B), _fset(B[:h], A), _fset(B[b - t:], A[:s], alloc.fresh(a - t - s)))
+    lists = (frozenset(B), frozenset().union(B[:h], A), frozenset().union(B[b - t:], A[:s], alloc.fresh(a - t - s)))
     return _cert(build_cycle(3), lists, a, b, c, f"triangle-{variant.replace('_', '-')}", precolored=0)
 
 
@@ -264,8 +256,7 @@ def gen_flower(p: int, a: int, b: int) -> Certificate:
     """
     if p < 3:
         raise ValueError("cycle copies need p >= 3")
-    if not (1 <= b <= a):
-        raise ValueError("need 1 <= b <= a")
+    _check_ab(a, b)
     _affordable(math.comb(a, b) * (p - 1) + 1, a)
     c = fsep_cycle(p, a, b).value + 1
     if c > a:

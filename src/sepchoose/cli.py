@@ -106,7 +106,7 @@ class SystemExit2(Exception):
 def _outer_bounds(n: int, a: int, b: int) -> str:
     """The girth sandwich as text; the other formula kinds return a FormulaResult."""
     lo, hi = fsep_outerplanar_bounds(n, a, b)
-    if lo.value == hi.value:
+    if lo.exact:
         return f"{lo.value} (regime: {lo.regime}, exact)"
     return f"{lo.value}..{hi.value} (regime: {lo.regime}..{hi.regime})"
 

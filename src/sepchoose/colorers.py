@@ -246,21 +246,9 @@ def _cycle_order_in_block(edges: frozenset[tuple[int, int]], entry: int) -> list
 
 def _face_path(f, u: int, w: int) -> list[int]:
     """Face f as a path from u around to w that avoids the edge (u, w)."""
-    m = len(f)
-    i, j = f.index(u), f.index(w)
-    seq = [u]
-    step = -1 if (i + 1) % m == j else 1
-    t = (i + step) % m
-    while t != j:
-        seq.append(f[t])
-        t = (t + step) % m
-    seq.append(w)
-    return seq
-
-
-def _face_edges(f) -> set[tuple[int, int]]:
-    m = len(f)
-    return {tuple(sorted((f[i], f[(i + 1) % m]))) for i in range(m)}
+    i = f.index(u)
+    seq = list(f[i:] + f[:i])
+    return seq[:1] + seq[:0:-1] if seq[1] == w else seq
 
 
 def _walk_blocks(L: ListAssignment, b: int, plan: ColoringPlan | None, block_faces, cycles_only=False) -> BColoring:
@@ -335,7 +323,7 @@ def _color_faces(L: ListAssignment, b: int, faces, vset, entry: int, phi, give) 
     psi = _complete_cycle([phi[entry]] + [L.lists[w] for w in walk[1:]], b)
     for i, w in enumerate(walk[1:], start=1):
         give(w, psi[i])
-    ecache = [_face_edges(f) for f in faces]
+    ecache = [{tuple(sorted(e)) for e in zip(f, f[1:] + f[:1])} for f in faces]
     on_edge: dict[tuple[int, int], list[int]] = {}
     for fi, fe in enumerate(ecache):
         for e in fe:

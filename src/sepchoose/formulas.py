@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, _cycle_block_lengths
+from .lists import _check_ab
 
 __all__ = [
     "FormulaResult",
@@ -44,8 +45,7 @@ class CThreshold:
 
 
 def _check(a: int, b: int, n: int | None = None, n_min: int = 3):
-    if b < 1 or a < b:
-        raise ValueError(f"need 1 <= b <= a, got a={a}, b={b}")
+    _check_ab(a, b)
     if n is not None and n < n_min:
         raise ValueError(f"need n >= {n_min}, got n={n}")
 

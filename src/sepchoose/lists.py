@@ -92,6 +92,14 @@ def _check_sizes(g: Graph, sizes, a: int, precolored: int | None) -> None:
             raise ValueError(f"short list at interior vertex {v}")
 
 
+def _check_ab(a: int, b: int, c: int = 0) -> None:
+    """The (a, b, c) rule every entry point states: 1 <= b <= a and c >= 0."""
+    if not 1 <= b <= a:
+        raise ValueError(f"need 1 <= b <= a, got a={a}, b={b}")
+    if c < 0:
+        raise ValueError(f"c must be >= 0, got c={c}")
+
+
 _ASSIGNMENT = {"lists": [[0]], "precolored?": {"vertex": 0}}
 
 
@@ -137,18 +145,6 @@ def is_valid_coloring(L: ListAssignment, phi: BColoring, b: int) -> bool:
     return True
 
 
-def _span_order(g: Graph) -> tuple[tuple[int, ...], bool]:
-    """The annotated order amplitude spans run along, plus cyclicity."""
-    if g.path_order is not None:
-        return g.path_order, False
-    if g.cycle_order is not None:
-        return g.cycle_order, True
-    if _is_complete(g):
-        # complete graphs: any order works, every trace has independence 1
-        return tuple(range(g.n)), False
-    raise ValueError("amplitude spans need a path, cycle, or complete graph")
-
-
 def _is_complete(g: Graph) -> bool:
     return len(g.edges) == g.n * (g.n - 1) // 2
 
@@ -160,11 +156,15 @@ def amplitude_sigma(L: ListAssignment, i: int, j: int) -> int:
     once, and a color on every vertex adds n // 2.  In a complete graph
     each color adds 1."""
     g = L.graph
-    order, cyclic = _span_order(g)
+    order = g.path_order if g.path_order is not None else g.cycle_order
+    complete = _is_complete(g)
+    if order is None and not complete:
+        raise ValueError("amplitude spans need a path, cycle, or complete graph")
     if not (1 <= i <= j <= g.n):
         raise ValueError("need 1 <= i <= j <= n")
-    lists = [L.lists[v] for v in order[i - 1 : j]]
-    if _is_complete(g):
+    lists = [L.lists[v] for v in (order or range(g.n))[i - 1 : j]]
+    if complete:
+        # any order works: every trace has independence 1
         return len(frozenset().union(*lists))
     runs: dict[int, list[int]] = {}
     for k, lst in enumerate(lists):
@@ -173,7 +173,7 @@ def amplitude_sigma(L: ListAssignment, i: int, j: int) -> int:
                 runs[c][-1] += 1
             else:
                 runs.setdefault(c, []).append(1)
-    if cyclic and len(lists) == g.n:
+    if g.path_order is None and len(lists) == g.n:  # the whole cycle
         for c in lists[0] & lists[-1]:
             lens = runs[c]
             if len(lens) > 1:

@@ -86,7 +86,7 @@ from functools import cache, lru_cache, partial, reduce
 from operator import and_, itemgetter
 
 from .graphs import Graph
-from .lists import BColoring, ListAssignment, TraceMultiset, realize
+from .lists import BColoring, ListAssignment, TraceMultiset, _check_ab, realize
 
 __all__ = [
     "BudgetExceeded",
@@ -747,10 +747,7 @@ def enumerate_canonical(
 ):
     """Every list assignment up to color relabeling: per-vertex mass a (b at
     the precolored vertex), every edge's shared mass at most c."""
-    if not (1 <= b <= a):
-        raise ValueError("need 1 <= b <= a")
-    if c < 0:
-        raise ValueError("c must be >= 0")
+    _check_ab(a, b, c)
     cap = [a] * g.n
     if precolored is not None:
         if not (0 <= precolored < g.n):
@@ -831,10 +828,7 @@ def decide_choosable(
     so nodes_explored counts them, core nodes, each root's universe and the
     dead ends of the automorphism search.
     """
-    if not (1 <= b <= a):
-        raise ValueError("need 1 <= b <= a")
-    if c < 0:
-        raise ValueError("c must be >= 0")
+    _check_ab(a, b, c)
     bump, count = _budget(budget)
     cex = _counterexample(g, a, b, c, _pins(g, free, bump), bump)
     return SolveOutcome(colorable=cex is None, counterexample=cex, nodes_explored=count())
@@ -851,8 +845,7 @@ def compute_sep(
     optional).  Scans c downward; choosability is monotone decreasing in c,
     so the first success is the answer.  One budget covers the whole scan,
     and the automorphism search and the roots are set up once."""
-    if not (1 <= b <= a):
-        raise ValueError("need 1 <= b <= a")
+    _check_ab(a, b)
     bump, _ = _budget(budget)
     pins = _pins(g, free, bump)
     for c in range(a, -1, -1):

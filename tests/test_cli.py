@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import sepchoose
 from sepchoose import (
+    FormulaResult,
     Graph,
     ListAssignment,
     build_cycle,
@@ -258,6 +259,17 @@ def test_sweep_csv_golden(capsys):
         "3,1,1,0,0,0,0,true",
         "3,2,1,1,1,1,1,true",
         "mismatches: 0 (verified 2 of 2 rows)",
+    ]
+
+
+def test_sweep_flags_a_wrong_formula(capsys, monkeypatch):
+    monkeypatch.setattr(sepchoose.cli, "sep_cycle", lambda n, a, b: FormulaResult(a + 1, "wrong"))
+    rc, out, _ = run(capsys, "sweep", "--n", "3", "--a", "2", "--b", "1")
+    assert rc == 1
+    assert out.splitlines()[1:] == [
+        "3,1,1,2,0,0,0,false",
+        "3,2,1,3,1,1,1,false",
+        "mismatches: 2 (verified 2 of 2 rows)",
     ]
 
 
@@ -539,10 +551,11 @@ OVERSIZED = [
     ("flower --p 3 --a 22 --b 11", "6518 MB (1410865 vertices with lists of 22 colors)"),
     # 554,269 vertices: few enough for a vertex count alone, yet it peaked at 1.76 GB
     ("flower --p 4 --a 20 --b 10", "2383 MB (554269 vertices with lists of 20 colors)"),
+    ("c3 --a 100000000 --b 50000000 --variant case2_high", "48000 MB (3 vertices with lists of 100000000 colors)"),
 ]
 
 
-@pytest.mark.parametrize("args, size", OVERSIZED, ids=["small-ratio", "odd-cycle", "path", "flower", "flower-p4"])
+@pytest.mark.parametrize("args, size", OVERSIZED, ids=["small-ratio", "odd-cycle", "path", "flower", "flower-p4", "c3"])
 def test_oversized_certificate_is_refused_before_allocation(tmp_path, args, size):
     t0 = time.perf_counter()
     proc = _cli_child("adversary", *args.split(), cwd=tmp_path)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from sepchoose import (
+    ColoringInputError,
     ColoringPlan,
     Graph,
     ListAssignment,
@@ -57,6 +58,14 @@ def test_greedy_cycle_rejects_paths():
     L = ListAssignment(graph=build_path(3), lists=(F({1}), F({1, 2}), F({2})), a=2)
     with pytest.raises(ValueError, match="needs a cycle"):
         greedy_cycle(L, 1)
+
+
+@pytest.mark.parametrize("colorer, args, message", [(lift_cycle, (1, 1), "lift_cycle needs a cycle"),
+                                                     (cycle_color_precolored, (1,), "cycle_color_precolored needs a cycle")])
+def test_cycle_colorers_reject_paths(colorer, args, message):
+    L = ListAssignment(graph=build_path(3), lists=(F({1}), F({1, 2}), F({2})), a=2, precolored=0)
+    with pytest.raises(ColoringInputError, match=message):
+        colorer(L, *args)
 
 
 @pytest.mark.parametrize("b", [0, -2])

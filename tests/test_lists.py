@@ -16,15 +16,45 @@ from sepchoose import (
     build_path,
     canonicalize,
     color_with_lists,
+    compute_sep,
+    decide_choosable,
+    enumerate_canonical,
     fig1_fixture,
+    gen_c3_family,
+    gen_flower,
+    gen_path_family,
     is_valid_coloring,
     realize,
     separation,
+    sep_cycle,
 )
 from sepchoose.lists import _path_deficit
 from helpers import huge_colors
 
 F = frozenset
+
+
+# the (a, b, c) rule, stated once in lists._check_ab, at every entry point that takes it
+PARAMETER_RULE = [
+    ("enumerate_canonical", lambda a, b, c: next(enumerate_canonical(build_cycle(3), a, b, c))),
+    ("decide_choosable", lambda a, b, c: decide_choosable(build_cycle(3), a, b, c)),
+    ("compute_sep", lambda a, b, c: compute_sep(build_cycle(3), a, b)),
+    ("gen_path_family", lambda a, b, c: gen_path_family(5, a, b, "case1")),
+    ("gen_c3_family", lambda a, b, c: gen_c3_family(a, b, "case1")),
+    ("gen_flower", lambda a, b, c: gen_flower(3, a, b)),
+    ("sep_cycle", lambda a, b, c: sep_cycle(5, a, b)),
+]
+
+
+@pytest.mark.parametrize("name, call", PARAMETER_RULE, ids=[name for name, _ in PARAMETER_RULE])
+def test_every_entry_point_states_one_parameter_rule(name, call):
+    with pytest.raises(ValueError) as e:
+        call(1, 2, 0)
+    assert str(e.value) == "need 1 <= b <= a, got a=1, b=2"
+    if name in ("enumerate_canonical", "decide_choosable"):
+        with pytest.raises(ValueError) as e:
+            call(2, 1, -1)
+        assert str(e.value) == "c must be >= 0, got c=-1"
 
 
 def test_one_list_per_vertex():
@@ -67,6 +97,10 @@ def test_is_valid_coloring():
     g2 = build_path(2)
     L2 = ListAssignment(graph=g2, lists=(F({1, 2}), F({1, 2})), a=2)
     assert not is_valid_coloring(L2, (F({1}), F({1})), 1)  # edge clash
+    assert not is_valid_coloring(L, (F({1}), F({3})), 1)  # one set short
+    # a pin must use its whole list, even where a b-subset of it would do
+    Lq = ListAssignment(graph=g, lists=(F({1, 2}), F({3, 4}), F({5, 6})), a=2, precolored=0)
+    assert not is_valid_coloring(Lq, (F({1}), F({3}), F({5})), 1)
 
 
 # amplitude: per-color capacity over a span, then summed
@@ -183,6 +217,30 @@ def test_amplitude_on_triangle_counts_colors():
     # complete graph: each color one slot total
     assert amplitude_sigma(L, 1, 3) == 2
     assert not amplitude_condition(L, 1)
+
+
+_K4 = Graph(n=4, edges=frozenset((u, v) for u in range(4) for v in range(u + 1, 4)))
+
+
+def test_amplitude_sigma_on_unannotated_complete_graph_counts_colors():
+    L = ListAssignment(graph=_K4, lists=(F({1, 2}), F({2, 3}), F({3, 4}), F({4, 5})), a=2)
+    # no order annotation: the span runs along the vertex ids, one slot per color
+    assert amplitude_sigma(L, 1, 4) == 5
+    assert amplitude_sigma(L, 2, 3) == 3
+    assert amplitude_sigma(L, 4, 4) == 2
+
+
+def test_amplitude_violation_passes_colorable_complete_graph():
+    L = ListAssignment(graph=_K4, lists=(F({1, 2}), F({2, 3}), F({3, 4}), F({4, 5})), a=2)
+    assert amplitude_violation(L, 1) is None
+    assert color_with_lists(L, 1).colorable
+
+
+def test_amplitude_sigma_needs_a_span_order():
+    edges = frozenset((v, (v + 1) % 5) if v < 4 else (0, 4) for v in range(5))
+    L = ListAssignment(graph=Graph(n=5, edges=edges), lists=tuple(F({v, v + 1}) for v in range(5)), a=2)
+    with pytest.raises(ValueError, match="amplitude spans need a path, cycle, or complete graph"):
+        amplitude_sigma(L, 1, 5)
 
 
 def test_trace_multiset_validation():
