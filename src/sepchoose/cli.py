@@ -290,6 +290,10 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as e:
         print(f"unknown: budget exhausted after {e.nodes_explored} nodes", file=sys.stderr)
         return 2
+    except MemoryError:
+        # like an exhausted budget, running out of memory decides nothing
+        print("unknown: out of memory", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # reader gone: exit quietly as SIGPIPE would; devnull lets the last flush pass
         with open(os.devnull, "w") as devnull:

@@ -20,8 +20,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .graphs import block_decomposition
-from .lists import BColoring, ColorSet, ListAssignment, _path_deficit
-from .solver import _color_path, color_with_lists
+from .lists import BColoring, ColorSet, ListAssignment, _lists_to_masks, _path_deficit
+from .solver import _masks_to_sets, _path_witness, color_with_lists
 
 __all__ = [
     "ColoringPlan",
@@ -177,15 +177,19 @@ def _pin(L: ListAssignment, b: int) -> int:
 
 def _complete_path(lists, ranks, b: int, failure: str | None = None) -> BColoring:
     """Color a path given its lists in path order, positions in increasing
-    rank.  Unless the caller names the failure, an uncolorable path is
-    explained by a vertex span whose color supply cannot cover its demand,
-    which for paths always exists."""
-    psi = _color_path(lists, ranks, b)
-    if psi is not None:
-        return psi
+    rank, by the witness walk.  Unless the caller names the failure, an
+    uncolorable path is explained by a vertex span whose color supply cannot
+    cover its demand, which for paths always exists; the deficit sweep that
+    finds it reads the walk's masks."""
+    if b < 1:
+        raise ValueError("b must be positive")
+    universe, masks = _lists_to_masks(lists)
+    chosen = _path_witness(masks, ranks, b, lambda: None)
+    if chosen is not None:
+        return _masks_to_sets(universe, chosen)
     if failure is not None:
         raise ValueError(failure)
-    span = _path_deficit(lists, b)
+    span = _path_deficit(masks, b)
     if span is None:
         raise AssertionError("uncolorable path with no deficient span")
     i, j, have = span

@@ -21,6 +21,11 @@ finds the first failing span without recounting any: sigma(i, j) follows
 from sigma(i, j-1) and the runs of L(x_j)'s colors that end at x_j, which
 ANDs of consecutive lists' color bitmasks count, so each span costs one
 AND and one addition, and the sweep keeps one sum per start vertex.
+
+Mask form: lists as bitmasks, bit i for the i-th smallest color, built only
+by _lists_to_masks.  realize builds its masks with its lists and hands them
+over on the assignment it returns (_masks_of); any other assignment has its
+masks built per call, and nothing is kept on it.
 """
 
 from __future__ import annotations
@@ -145,6 +150,20 @@ def is_valid_coloring(L: ListAssignment, phi: BColoring, b: int) -> bool:
     return True
 
 
+def _lists_to_masks(lists) -> tuple[list[int], list[int]]:
+    """(universe, masks): the sorted union of the lists, and each list as a
+    bitmask whose bit i stands for universe[i]."""
+    universe = sorted(set().union(*lists))
+    bit = {c: 1 << i for i, c in enumerate(universe)}
+    return universe, [sum(map(bit.__getitem__, lst)) for lst in lists]
+
+
+def _masks_of(L: ListAssignment):
+    """L's (universe, masks) in vertex order: realize's own, else built now."""
+    got = L.__dict__.get("_masks")
+    return _lists_to_masks(L.lists) if got is None else got
+
+
 def _is_complete(g: Graph) -> bool:
     return len(g.edges) == g.n * (g.n - 1) // 2
 
@@ -183,23 +202,21 @@ def amplitude_sigma(L: ListAssignment, i: int, j: int) -> int:
     return sum((k + 1) // 2 for lens in runs.values() for k in lens)
 
 
-def _path_deficit(lists, b: int):
-    """First span (i, j) of a path given its lists in path order, 1-based,
-    with sigma < b*(j-i+1), as (i, j, sigma); None when there is none.
-    First means first in row-major order: smallest i, then smallest j.
+def _path_deficit(masks, b: int):
+    """First span (i, j) of a path given its lists as masks in path order,
+    1-based, with sigma < b*(j-i+1), as (i, j, sigma); None when there is
+    none.  First means first in row-major order: smallest i, then smallest j.
 
     Extending a span x_i..x_{j-1} to x_j grows the run of each color c of
     L(x_j) inside the span to min(run_j(c), span), where run_j(c) counts
     the consecutive vertices listing c that end at x_j; that adds 1 to the
     run's ceil(run / 2) exactly when the new length is odd.  With R_k the
     colors of L(x_j) whose run reaches k, that gain is |R_1| - |R_2| + |R_3|
-    - ... up to the span, and R_k is the AND of the color bitmasks of the k
-    lists ending at x_j.  So one backward AND sweep from each x_j adds x_j's
-    gain to sigma(i, j) for every start x_i at once; a start whose span
-    fails stops the starts after it, and a failing x_1 ends the search.
+    - ... up to the span, and R_k is the AND of the masks of the k lists
+    ending at x_j.  So one backward AND sweep from each x_j adds x_j's gain
+    to sigma(i, j) for every start x_i at once; a start whose span fails
+    stops the starts after it, and a failing x_1 ends the search.
     """
-    bit = {c: 1 << k for k, c in enumerate(set().union(*lists))}
-    masks = [sum(map(bit.__getitem__, lst)) for lst in lists]
     sigma = [0] * len(masks)  # sigma[i]: sigma(i, j), 0-based, for the current j
     # a start from stop on can no longer give the first violation (found
     # holds one at a smaller start), so its sum is no longer kept
@@ -230,7 +247,8 @@ def amplitude_violation(L: ListAssignment, b: int):
     """
     g = L.graph
     if g.path_order is not None:
-        span = _path_deficit([L.lists[v] for v in g.path_order], b)
+        masks = _masks_of(L)[1]
+        span = _path_deficit([masks[v] for v in g.path_order], b)
         return None if span is None else span[:2]
     if _is_complete(g):
         for r in range(1, g.n + 1):
@@ -295,16 +313,21 @@ def realize(t: TraceMultiset, graph: Graph, a: int, precolored: int | None = Non
     """Concrete assignment for a trace multiset; colors are 0,1,2,... in entry
     order.  A vertex's list size is its mass, so the size checks of
     ListAssignment run once on the masses, and a trace vertex outside the
-    graph is rejected in the same pass."""
+    graph is rejected in the same pass.  The masks over the universe
+    range(k), k colors in all, are built alongside and handed over."""
     lists: list[list[int]] = [[] for _ in range(graph.n)]
+    masks = [0] * graph.n
     nxt = 0
     for trace, cnt in t.entries:
         for v in (trace[0], trace[-1]):  # traces are sorted
             if not 0 <= v < graph.n:
                 raise ValueError(f"trace vertex {v} is not a vertex of the graph (n = {graph.n})")
-        colors = range(nxt, nxt + cnt)
+        colors, block = range(nxt, nxt + cnt), ((1 << cnt) - 1) << nxt
         for v in trace:
             lists[v] += colors
+            masks[v] |= block
         nxt += cnt
     _check_sizes(graph, [len(L) for L in lists], a, precolored)
-    return ListAssignment._trusted(graph, tuple(map(frozenset, lists)), a, precolored)
+    L = ListAssignment._trusted(graph, tuple(map(frozenset, lists)), a, precolored)
+    L.__dict__["_masks"] = (range(nxt), tuple(masks))
+    return L

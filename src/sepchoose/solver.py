@@ -23,8 +23,10 @@ vertex numbers rise or fall along the path, that costs one sweep (n - 1
 shadow-DP steps) plus one candidate scan per vertex.  A cycle node fixes
 its smallest vertex per candidate and colors the path that is left
 (_cycle_witness).
-Frozenset lists appear only at the public edges.  The search runs on an
-explicit stack of generators, one per open node, so its depth is
+Frozenset lists appear only at the public edges: _solve_lists reads an
+assignment's masks (lists._masks_of, realize's own when it built the
+assignment) and turns a witness's masks back into sets.  The search runs
+on an explicit stack of generators, one per open node, so its depth is
 bounded by memory, not by the interpreter's recursion limit, which it
 never touches.
 
@@ -86,7 +88,7 @@ from functools import cache, lru_cache, partial, reduce
 from operator import and_, itemgetter
 
 from .graphs import Graph
-from .lists import BColoring, ListAssignment, TraceMultiset, _check_ab, realize
+from .lists import BColoring, ListAssignment, TraceMultiset, _check_ab, _masks_of, realize
 
 __all__ = [
     "BudgetExceeded",
@@ -500,19 +502,12 @@ def _solve_masks(tree: _EliminationTree, masks, b: int, bump, want_witness: bool
     return ok, (phimask if ok and want_witness else None)
 
 
-def _lists_to_masks(lists) -> tuple[list, list[int]]:
-    """Bit i of a mask stands for the i-th smallest color of the universe."""
-    universe = sorted(set().union(*lists))
-    bit = {c: 1 << i for i, c in enumerate(universe)}
-    return universe, [sum(map(bit.__getitem__, lst)) for lst in lists]
-
-
 def _solve_lists(L: ListAssignment, b: int, budget: int | None, want_witness: bool) -> SolveOutcome:
-    """An edge around the search core: the lists become bitmasks over the
-    sorted color universe, the core runs, and a witness's masks come back
-    as frozensets of colors.  A graph annotated as one path or cycle (_line)
-    has its lists turned into masks in line order and goes straight to its
-    kernel, without the elimination tree, the memo or the search stack."""
+    """An edge around the search core: the core runs on L's masks
+    (lists._masks_of), and a witness's masks come back as frozensets of
+    colors.  A graph annotated as one path or cycle (_line) has its masks
+    put in line order and goes straight to its kernel, without the
+    elimination tree, the memo or the search stack."""
     if b < 1:
         raise ValueError("b must be positive")
     lists = L.lists
@@ -522,14 +517,13 @@ def _solve_lists(L: ListAssignment, b: int, budget: int | None, want_witness: bo
         # phi(r) = L(r) is unsatisfiable at size b
         return SolveOutcome(colorable=False)
     bump, count = _budget(budget)
+    universe, masks = _masks_of(L)
     whole = _line(L.graph)
     if whole is None:
-        universe, masks = _lists_to_masks(lists)
         ok, phimask = _solve_masks(_EliminationTree(L.graph), masks, b, bump, want_witness)
     else:
         order = whole[1]
-        universe, line = _lists_to_masks([lists[v] for v in order])
-        got = _on_line(whole, line, b, want_witness, bump)
+        got = _on_line(whole, [masks[v] for v in order], b, want_witness, bump)
         ok = bool(got)
         phimask = dict(zip(order, got)) if want_witness and got else None
     witness = None
@@ -551,19 +545,15 @@ def decide_with_lists(L: ListAssignment, b: int, budget: int | None = None) -> S
 
 
 def _masks_to_sets(universe, masks) -> BColoring:
-    return tuple(frozenset(universe[i] for i in range(m.bit_length()) if (m >> i) & 1) for m in masks)
-
-
-def _color_path(lists, ranks, b: int) -> BColoring | None:
-    """The path witness walk on lists given in path order, without a graph:
-    positions are colored in increasing rank, each with its lex-least
-    b-subset that leaves the rest colorable.  None when the path has no
-    coloring."""
-    if b < 1:
-        raise ValueError("b must be positive")
-    universe, masks = _lists_to_masks(lists)
-    chosen = _path_witness(masks, ranks, b, lambda: None)
-    return None if chosen is None else _masks_to_sets(universe, chosen)
+    """Each mask as a frozenset of colors, read off its set bits only."""
+    sets = []
+    for m in masks:
+        cols = []
+        while m:
+            cols.append(universe[(m & -m).bit_length() - 1])
+            m &= m - 1
+        sets.append(frozenset(cols))
+    return tuple(sets)
 
 
 def _trace_universe(g: Graph, connected_only: bool, bump):

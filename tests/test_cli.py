@@ -542,6 +542,14 @@ def test_huge_n_is_rejected_before_allocation(tmp_path, argv, message):
     assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_out_of_memory_is_unknown(tmp_path):
+    # the b-subsets of one 200,000-color list outgrow the child's 1 GiB within seconds;
+    # running out of memory decides nothing, so it exits 2 like an exhausted budget, not 1
+    write_json(tmp_path / "g.json", _C4)
+    proc = _cli_child("solve", "check", "--graph", "g.json", "--a", "200000", "--b", "1", "--c", "0", cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "unknown: out of memory\n")
+
+
 # without the refusal each of these certificates exhausts memory; the
 # estimate is n * (1100 + 160 a) bytes for n vertices with a-lists
 OVERSIZED = [

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,17 +19,19 @@ from sepchoose import (
     color_with_lists,
     compute_sep,
     decide_choosable,
+    decide_with_lists,
     enumerate_canonical,
     fig1_fixture,
     gen_c3_family,
     gen_flower,
     gen_path_family,
+    identify_vertices,
     is_valid_coloring,
     realize,
     separation,
     sep_cycle,
 )
-from sepchoose.lists import _path_deficit
+from sepchoose.lists import _lists_to_masks, _path_deficit
 from helpers import huge_colors
 
 F = frozenset
@@ -203,12 +206,14 @@ def test_huge_sparse_colors_keep_the_deficit_span(inst):
     L, b = inst
     big, up = huge_colors(L)
     order = L.graph.path_order
-    span = _path_deficit([L.lists[v] for v in order], b)
-    assert _path_deficit([big.lists[v] for v in order], b) == span
+    masks, big_masks = _lists_to_masks(L.lists)[1], _lists_to_masks(big.lists)[1]
+    span = _path_deficit([masks[v] for v in order], b)
+    assert _path_deficit([big_masks[v] for v in order], b) == span
     assert amplitude_violation(big, b) == (None if span is None else span[:2])
-    out, big_out = color_with_lists(L, b), color_with_lists(big, b)
-    assert big_out.colorable == out.colorable
-    assert big_out.witness == (None if out.witness is None else tuple(F(map(up, s)) for s in out.witness))
+    for solve in (color_with_lists, decide_with_lists):
+        out, big_out = solve(L, b), solve(big, b)
+        assert big_out.colorable == out.colorable
+        assert big_out.witness == (None if out.witness is None else tuple(F(map(up, s)) for s in out.witness))
 
 
 def test_amplitude_on_triangle_counts_colors():
@@ -287,6 +292,45 @@ def test_realize_rejects_trace_vertices_outside_the_graph(entries, vertex):
     with pytest.raises(ValueError) as err:
         realize(TraceMultiset(entries=entries), build_path(3), 1)
     assert str(err.value) == f"trace vertex {vertex} is not a vertex of the graph (n = 3)"
+
+
+MASK_GRAPHS = {
+    **{f"P{n}": build_path(n) for n in range(2, 7)},
+    **{f"C{n}": build_cycle(n) for n in range(3, 6)},
+    "C3.C4": identify_vertices(build_cycle(3), 0, build_cycle(4), 0),
+    "K4-e": Graph(n=4, edges=F({(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)})),
+}
+
+
+def _outcome(call, *args):
+    """What call returns, or the text of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("name", MASK_GRAPHS)
+def test_realize_hands_over_the_masks_its_lists_give(name):
+    # realize builds the color bitmasks with the lists and leaves them on the
+    # assignment; its readers must answer as they do on a plain copy, which
+    # builds its masks per call and keeps none
+    g = MASK_GRAPHS[name]
+    rng = random.Random(f"masks:{name}")
+    for _ in range(4):
+        a = rng.randint(1, max(1, min(3, 12 // g.n)))
+        b, c = rng.randint(1, a), rng.randint(0, a)
+        for root in (None, rng.randrange(g.n)):
+            stream = list(itertools.islice(enumerate_canonical(g, a, b, c, precolored=root), 2000))
+            for t in rng.sample(stream, min(len(stream), 40)):
+                L = realize(t, g, a, precolored=root)
+                universe, masks = L.__dict__["_masks"]
+                assert (list(universe), list(masks)) == _lists_to_masks(L.lists)
+                plain = ListAssignment(graph=g, lists=L.lists, a=a, precolored=root)
+                assert _outcome(amplitude_violation, L, b) == _outcome(amplitude_violation, plain, b)
+                for solve in (color_with_lists, decide_with_lists):
+                    assert solve(L, b) == solve(plain, b)
+                assert "_masks" not in plain.__dict__
 
 
 def test_realize_checks_list_sizes():
