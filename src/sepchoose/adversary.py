@@ -359,5 +359,5 @@ def cert_from_json_dict(d: dict) -> Certificate:
     _check(d, _CERT, "certificate")
     g = graph_from_json_dict(d["graph"])
     lists, pre = _lists_for(d, g.n, "certificate")
-    L = ListAssignment._trusted(g, lists, d["a"], pre)
+    L = ListAssignment._trusted(graph=g, lists=lists, a=d["a"], precolored=pre)
     return Certificate(b=d["b"], c=d["c"], assignment=L, claim=d["claim"], family=d.get("family") or "unknown")

@@ -20,8 +20,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .graphs import block_decomposition
-from .lists import BColoring, ColorSet, ListAssignment, _lists_to_masks, _path_deficit
-from .solver import _masks_to_sets, _path_witness, color_with_lists
+from .lists import BColoring, ColorSet, ListAssignment, _lists_to_masks, _masks_to_sets, _path_deficit
+from .solver import _path_witness, color_with_lists
 
 __all__ = [
     "ColoringPlan",

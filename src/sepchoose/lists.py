@@ -23,15 +23,17 @@ ANDs of consecutive lists' color bitmasks count, so each span costs one
 AND and one addition, and the sweep keeps one sum per start vertex.
 
 Mask form: lists as bitmasks, bit i for the i-th smallest color, built only
-by _lists_to_masks.  realize builds its masks with its lists and hands them
-over on the assignment it returns (_masks_of); any other assignment has its
+by _lists_to_masks and read back only by _masks_to_sets.  realize builds the
+masks alone and its assignment holds them (_masks, read by _masks_of); its
+lists are built from them on first read.  Any other assignment has its
 masks built per call, and nothing is kept on it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graphs import Graph, _check
 
@@ -58,6 +60,7 @@ class ListAssignment:
     lists: tuple[ColorSet, ...]
     a: int
     precolored: int | None = None
+    _masks: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.lists) != self.graph.n:
@@ -66,12 +69,17 @@ class ListAssignment:
         if any(c < 0 for L in self.lists for c in L):
             raise ValueError("colors must be non-negative ints")
 
+    def __eq__(self, other):
+        if not isinstance(other, ListAssignment):
+            return NotImplemented
+        return (self.graph, self.lists, self.a, self.precolored) == (other.graph, other.lists, other.a, other.precolored)
+
     @classmethod
-    def _trusted(cls, graph: Graph, lists: tuple[ColorSet, ...], a: int, precolored: int | None):
-        """Build unchecked, for a reader that checked the structure (`verify_certificate`
-        judges sizes) and for realize, which checks the sizes itself."""
+    def _trusted(cls, **fields):
+        """Build unchecked: for a reader that checked the structure (`verify_certificate`
+        judges sizes), and for realize, which checks its masks' sizes itself."""
         obj = object.__new__(cls)
-        obj.__dict__.update(graph=graph, lists=lists, a=a, precolored=precolored)
+        obj.__dict__.update(fields)
         return obj
 
     def to_json_dict(self) -> dict:
@@ -158,10 +166,21 @@ def _lists_to_masks(lists) -> tuple[list[int], list[int]]:
     return universe, [sum(map(bit.__getitem__, lst)) for lst in lists]
 
 
+def _masks_to_sets(universe, masks) -> BColoring:
+    """Each mask as a frozenset of colors in color order, read off its set bits top first."""
+    sets = []
+    for m in masks:
+        cols = []
+        while m:
+            cols.append(universe[top := m.bit_length() - 1])
+            m ^= 1 << top
+        sets.append(frozenset(reversed(cols)))
+    return tuple(sets)
+
+
 def _masks_of(L: ListAssignment):
     """L's (universe, masks) in vertex order: realize's own, else built now."""
-    got = L.__dict__.get("_masks")
-    return _lists_to_masks(L.lists) if got is None else got
+    return L._masks or _lists_to_masks(L.lists)
 
 
 def _is_complete(g: Graph) -> bool:
@@ -309,25 +328,30 @@ def canonicalize(L: ListAssignment) -> TraceMultiset:
     return TraceMultiset(entries=tuple(sorted(traces.items())))
 
 
+class _Realized(ListAssignment):
+    """What realize returns: it holds its masks and builds its lists from them
+    on first read; ListAssignment.__eq__ lets it equal a plain copy."""
+
+    @cached_property
+    def lists(self):
+        return _masks_to_sets(*self._masks)
+
+
 def realize(t: TraceMultiset, graph: Graph, a: int, precolored: int | None = None) -> ListAssignment:
     """Concrete assignment for a trace multiset; colors are 0,1,2,... in entry
-    order.  A vertex's list size is its mass, so the size checks of
-    ListAssignment run once on the masses, and a trace vertex outside the
-    graph is rejected in the same pass.  The masks over the universe
-    range(k), k colors in all, are built alongside and handed over."""
-    lists: list[list[int]] = [[] for _ in range(graph.n)]
-    masks = [0] * graph.n
+    order, held as masks over range(k), k colors in all.  The size checks of
+    ListAssignment run once on the masses (a bit count would read every mask
+    again), and a trace vertex outside the graph is rejected in the same pass."""
+    masks, sizes = [0] * graph.n, [0] * graph.n
     nxt = 0
     for trace, cnt in t.entries:
         for v in (trace[0], trace[-1]):  # traces are sorted
             if not 0 <= v < graph.n:
                 raise ValueError(f"trace vertex {v} is not a vertex of the graph (n = {graph.n})")
-        colors, block = range(nxt, nxt + cnt), ((1 << cnt) - 1) << nxt
+        block = ((1 << cnt) - 1) << nxt
         for v in trace:
-            lists[v] += colors
             masks[v] |= block
+            sizes[v] += cnt
         nxt += cnt
-    _check_sizes(graph, [len(L) for L in lists], a, precolored)
-    L = ListAssignment._trusted(graph, tuple(map(frozenset, lists)), a, precolored)
-    L.__dict__["_masks"] = (range(nxt), tuple(masks))
-    return L
+    _check_sizes(graph, sizes, a, precolored)
+    return _Realized._trusted(graph=graph, a=a, precolored=precolored, _masks=(range(nxt), tuple(masks)))

@@ -24,8 +24,8 @@ shadow-DP steps) plus one candidate scan per vertex.  A cycle node fixes
 its smallest vertex per candidate and colors the path that is left
 (_cycle_witness).
 Frozenset lists appear only at the public edges: _solve_lists reads an
-assignment's masks (lists._masks_of, realize's own when it built the
-assignment) and turns a witness's masks back into sets.  The search runs
+assignment's masks (lists._masks_of; an assignment from realize holds only
+those) and turns a witness's masks back into sets.  The search runs
 on an explicit stack of generators, one per open node, so its depth is
 bounded by memory, not by the interpreter's recursion limit, which it
 never touches.
@@ -88,7 +88,7 @@ from functools import cache, lru_cache, partial, reduce
 from operator import and_, itemgetter
 
 from .graphs import Graph
-from .lists import BColoring, ListAssignment, TraceMultiset, _check_ab, _masks_of, realize
+from .lists import BColoring, ListAssignment, TraceMultiset, _check_ab, _masks_of, _masks_to_sets, realize
 
 __all__ = [
     "BudgetExceeded",
@@ -510,14 +510,13 @@ def _solve_lists(L: ListAssignment, b: int, budget: int | None, want_witness: bo
     elimination tree, the memo or the search stack."""
     if b < 1:
         raise ValueError("b must be positive")
-    lists = L.lists
-    if min(map(len, lists)) < b:
+    universe, masks = _masks_of(L)
+    if min(map(int.bit_count, masks)) < b:
         return SolveOutcome(colorable=False)
-    if L.precolored is not None and len(lists[L.precolored]) != b:
+    if L.precolored is not None and masks[L.precolored].bit_count() != b:
         # phi(r) = L(r) is unsatisfiable at size b
         return SolveOutcome(colorable=False)
     bump, count = _budget(budget)
-    universe, masks = _masks_of(L)
     whole = _line(L.graph)
     if whole is None:
         ok, phimask = _solve_masks(_EliminationTree(L.graph), masks, b, bump, want_witness)
@@ -526,9 +525,7 @@ def _solve_lists(L: ListAssignment, b: int, budget: int | None, want_witness: bo
         got = _on_line(whole, [masks[v] for v in order], b, want_witness, bump)
         ok = bool(got)
         phimask = dict(zip(order, got)) if want_witness and got else None
-    witness = None
-    if phimask is not None:
-        witness = _masks_to_sets(universe, [phimask[v] for v in range(len(lists))])
+    witness = None if phimask is None else _masks_to_sets(universe, [phimask[v] for v in range(len(masks))])
     return SolveOutcome(colorable=ok, witness=witness, nodes_explored=count())
 
 
@@ -542,18 +539,6 @@ def decide_with_lists(L: ListAssignment, b: int, budget: int | None = None) -> S
     """Decide (L,b)-colorability as color_with_lists does, without building
     a witness."""
     return _solve_lists(L, b, budget, False)
-
-
-def _masks_to_sets(universe, masks) -> BColoring:
-    """Each mask as a frozenset of colors, read off its set bits only."""
-    sets = []
-    for m in masks:
-        cols = []
-        while m:
-            cols.append(universe[(m & -m).bit_length() - 1])
-            m &= m - 1
-        sets.append(frozenset(cols))
-    return tuple(sets)
 
 
 def _trace_universe(g: Graph, connected_only: bool, bump):

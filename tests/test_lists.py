@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, seed, settings
@@ -310,27 +311,74 @@ def _outcome(call, *args):
         return str(e)
 
 
-@pytest.mark.parametrize("name", MASK_GRAPHS)
-def test_realize_hands_over_the_masks_its_lists_give(name):
-    # realize builds the color bitmasks with the lists and leaves them on the
-    # assignment; its readers must answer as they do on a plain copy, which
-    # builds its masks per call and keeps none
-    g = MASK_GRAPHS[name]
-    rng = random.Random(f"masks:{name}")
+def _samples(name, g, tag):
+    """Seeded (a, b, root, trace multiset) samples of g's canonical streams."""
+    rng = random.Random(f"{tag}:{name}")
     for _ in range(4):
         a = rng.randint(1, max(1, min(3, 12 // g.n)))
         b, c = rng.randint(1, a), rng.randint(0, a)
         for root in (None, rng.randrange(g.n)):
             stream = list(itertools.islice(enumerate_canonical(g, a, b, c, precolored=root), 2000))
             for t in rng.sample(stream, min(len(stream), 40)):
-                L = realize(t, g, a, precolored=root)
-                universe, masks = L.__dict__["_masks"]
-                assert (list(universe), list(masks)) == _lists_to_masks(L.lists)
-                plain = ListAssignment(graph=g, lists=L.lists, a=a, precolored=root)
-                assert _outcome(amplitude_violation, L, b) == _outcome(amplitude_violation, plain, b)
-                for solve in (color_with_lists, decide_with_lists):
-                    assert solve(L, b) == solve(plain, b)
-                assert "_masks" not in plain.__dict__
+                yield a, b, root, t
+
+
+@pytest.mark.parametrize("name", MASK_GRAPHS)
+def test_realize_hands_over_the_masks_its_lists_give(name):
+    # realize builds only the color bitmasks and the assignment holds them;
+    # the solver, and the amplitude sweep on a path, read them without
+    # building the lists, and every reader answers as on a plain copy, which
+    # builds its masks per call and keeps none
+    g = MASK_GRAPHS[name]
+    for a, b, root, t in _samples(name, g, "masks"):
+        L = realize(t, g, a, precolored=root)
+        solved = [solve(L, b) for solve in (color_with_lists, decide_with_lists)]
+        assert "lists" not in vars(L)
+        amplitude = _outcome(amplitude_violation, L, b)
+        if g.path_order is not None:
+            assert "lists" not in vars(L)
+        universe, masks = L._masks
+        assert (list(universe), list(masks)) == _lists_to_masks(L.lists)
+        assert L.lists is L.lists
+        plain = ListAssignment(graph=g, lists=L.lists, a=a, precolored=root)
+        assert amplitude == _outcome(amplitude_violation, plain, b)
+        assert solved == [solve(plain, b) for solve in (color_with_lists, decide_with_lists)]
+        assert plain._masks is None
+
+
+@pytest.mark.parametrize("name", [*(f"P{n}" for n in range(2, 7)), "C3", "C4", "C5", "K4-e"])
+def test_realized_assignment_is_the_plain_one_with_its_lists(name):
+    # as a value, a realized assignment is the plain one with the same lists,
+    # whether or not its lists have been read yet
+    g = MASK_GRAPHS[name]
+    for a, _, root, t in _samples(name, g, "value"):
+        R = realize(t, g, a, precolored=root)
+        plain = ListAssignment(graph=g, lists=R.lists, a=a, precolored=root)
+        assert R == plain and plain == R and hash(R) == hash(plain)
+        assert realize(t, g, a, precolored=root) == plain
+        assert hash(realize(t, g, a, precolored=root)) == hash(plain)
+        assert {plain: t}[realize(t, g, a, precolored=root)] is t
+        assert {realize(t, g, a, precolored=root): t}[plain] is t
+        assert realize(t, g, a, precolored=root).to_json_dict() == plain.to_json_dict()
+        assert canonicalize(realize(t, g, a, precolored=root)) == t
+
+
+def test_lists_that_share_no_colors_stay_linear_at_the_api_edge():
+    # masks over the union of 20,000 disjoint pairs take 40,000 bits a vertex,
+    # about 156 MB in all: the constructor, separation and the coloring check
+    # read the lists themselves
+    n = 20_000
+    g = build_path(n)
+    lists = tuple(F({2 * v, 2 * v + 1}) for v in range(n))
+    phi = tuple(F({2 * v}) for v in range(n))
+    tracemalloc.start()
+    try:
+        L = ListAssignment(graph=g, lists=lists, a=2)
+        assert separation(L) == 0 and is_valid_coloring(L, phi, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_realize_checks_list_sizes():

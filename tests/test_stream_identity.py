@@ -20,8 +20,11 @@ from sepchoose import (
     Graph,
     ListAssignment,
     TraceMultiset,
+    amplitude_violation,
     build_cycle,
     build_path,
+    color_with_lists,
+    decide_with_lists,
     enumerate_canonical,
     identify_vertices,
     realize,
@@ -102,3 +105,26 @@ def test_streams_match_recorded_digests(name):
                 n_walk += 1
             walk.update(b"|")
     assert (n_canon, canon.hexdigest()[:16], n_walk, walk.hexdigest()[:16]) == GOLDEN[name]
+
+
+# instances and digest of the criterion-5 cells that the `paths` benchmark
+# streams: every instance on P_n with n <= 7 and n*a <= 8, c = a, every b
+# and every root (recorded while realize still built its lists with its masks)
+PATH_CELLS = (10149, "1ce3f1c114fbe60e")
+
+
+def test_path_cells_keep_their_spans_verdicts_witnesses_and_node_counts():
+    digest, count = hashlib.sha256(), 0
+    for n in range(2, 8):
+        g = build_path(n)
+        for a in range(1, 8 // n + 1):
+            for b in range(1, a + 1):
+                for root in [None, *range(n)]:
+                    for t in enumerate_canonical(g, a, b, a, precolored=root):
+                        L = realize(t, g, a, precolored=root)
+                        col, dec = color_with_lists(L, b), decide_with_lists(L, b)
+                        witness = col.witness and [sorted(s) for s in col.witness]
+                        digest.update(repr((amplitude_violation(L, b), col.colorable, witness, col.nodes_explored,
+                                            dec.colorable, dec.nodes_explored)).encode())
+                        count += 1
+    assert (count, digest.hexdigest()[:16]) == PATH_CELLS
