@@ -163,31 +163,21 @@ def cmd_sweep(args, _, n_max, a_max, b_max) -> int:
     if n_max < 3 or a_max < 1 or b_max < 1:
         raise SystemExit2("sweep needs n >= 3 and positive a, b bounds")
     budget = _budget_from(args)
-    rows = []
-    for n in range(3, n_max + 1):
-        for a in range(1, a_max + 1):
-            for b in range(1, min(a, b_max) + 1):
-                rows.append((n, a, b))
+    rows = [(n, a, b) for n in range(3, n_max + 1) for a in range(1, a_max + 1) for b in range(1, min(a, b_max) + 1)]
     lines = ["n,a,b,formula_sep,oracle_sep,formula_fsep,oracle_fsep,match"]
     verified = mismatches = 0
     for n, a, b in rows:
-        g = build_cycle(n)
-        f_sep = sep_cycle(n, a, b).value
-        f_fsep = fsep_cycle(n, a, b).value
-        try:
-            o_sep: int | str = compute_sep(g, a, b, free=False, budget=budget)
-        except BudgetExceeded:
-            o_sep = "unknown"
-        try:
-            o_fsep: int | str = compute_sep(g, a, b, free=True, budget=budget)
-        except BudgetExceeded:
-            o_fsep = "unknown"
-        match = (o_sep == "unknown" or o_sep == f_sep) and (o_fsep == "unknown" or o_fsep == f_fsep)
-        if o_sep != "unknown" and o_fsep != "unknown":
-            verified += 1
-        if not match:
-            mismatches += 1
-        lines.append(f"{n},{a},{b},{f_sep},{o_sep},{f_fsep},{o_fsep},{str(match).lower()}")
+        g, cells = build_cycle(n), [n, a, b]  # cells: then each variant's formula and oracle value
+        for free, formula in ((False, sep_cycle), (True, fsep_cycle)):
+            cells.append(formula(n, a, b).value)
+            try:
+                cells.append(compute_sep(g, a, b, free=free, budget=budget))
+            except BudgetExceeded:
+                cells.append("unknown")
+        match = all(o in ("unknown", f) for f, o in (cells[3:5], cells[5:7]))
+        verified += "unknown" not in cells
+        mismatches += not match
+        lines.append(",".join(map(str, cells)) + f",{str(match).lower()}")
     _emit("\n".join(lines), args.out)
     print(f"mismatches: {mismatches} (verified {verified} of {len(rows)} rows)")
     return 0 if mismatches == 0 else 1

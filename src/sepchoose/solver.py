@@ -25,10 +25,10 @@ its smallest vertex per candidate and colors the path that is left
 (_cycle_witness).
 Frozenset lists appear only at the public edges: _solve_lists reads an
 assignment's masks (lists._masks_of; an assignment from realize holds only
-those) and turns a witness's masks back into sets.  The search runs
-on an explicit stack of generators, one per open node, so its depth is
-bounded by memory, not by the interpreter's recursion limit, which it
-never touches.
+those) and turns a witness's masks back into sets.  A node that the memo
+or a line kernel settles is settled in its parent's loop; only a generic
+node that misses the memo gets a generator, on an explicit stack, so depth
+is bounded by memory, not by the recursion limit, which is never touched.
 
 Each public call keeps one node count (_budget), and every stage charges
 it: the automorphism search, the trace universe, the enumeration, the
@@ -409,6 +409,8 @@ class _EliminationTree:
     def bound(self, v: int) -> tuple:
         """v's boundary: (u, u's neighbours below v) for each vertex u of the
         node that has one, u ascending.  Those neighbours are ancestors."""
+        if v in self._bounds:  # built when v's parent was first expanded
+            return self._bounds[v]
         path, tin = [v], self.tin
         while path[-1] not in self._bounds:
             path.append(self.parent[path[-1]])
@@ -432,8 +434,8 @@ class _EliminationTree:
 def _solve_masks(tree: _EliminationTree, masks, b: int, bump, want_witness: bool):
     """Can every vertex v take b colors of masks[v], adjacent vertices
     disjoint?  Returns (colorable, phimask): the chosen masks by vertex, or
-    None unless want_witness and colorable.  Each search node and each
-    kernel call charges bump.
+    None unless want_witness and colorable.  Each candidate and each kernel
+    call charges bump; a memo hit charges nothing.
 
     Walks tree: a node extends its smallest vertex and solves its children
     independently, so lex-least pieces assemble the lex-least witness, and
@@ -442,16 +444,18 @@ def _solve_masks(tree: _EliminationTree, masks, b: int, bump, want_witness: bool
     failed candidate leaves nothing to clear, and the memo key is the node
     with its boundary's masks less those colors.  A kernel's "no" is final,
     and in decision mode so is its "yes": sibling nodes are never adjacent,
-    so nothing reads the colors it leaves unset.  Callers check b >= 1 and
-    send a graph annotated as one path or cycle to _on_line instead.
+    so nothing reads the colors it leaves unset.  A parent settles a child
+    that the memo or a kernel answers in its own loop; run's explicit stack
+    holds a generator per node that needs a search.  Callers check b >= 1
+    and send a graph annotated as one line to _on_line.
     """
     kids, kind = tree.kids, tree.kind
     phimask = [0] * len(masks)
     memo: dict = {}
 
-    def solve(v: int):
-        # a generator: it yields each child it needs decided and is sent back
-        # that child's verdict; it returns its own verdict
+    def settle(v: int):
+        # v's verdict from the memo or a line kernel, else solve's arguments (a
+        # generator made here would tie settle and solve in a reference cycle)
         eff = {}
         for u, lows in tree.bound(v):
             used = 0
@@ -462,20 +466,25 @@ def _solve_masks(tree: _EliminationTree, masks, b: int, bump, want_witness: bool
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if kind[v] is not None:
-            shape = tree.line(v)
-            got = _on_line(shape, [eff.get(u, masks[u]) for u in shape[1]], b, want_witness, bump)
-            if want_witness and got:
-                for u, m in zip(shape[1], got):
-                    phimask[u] = m
-                return True
-            ok = memo[key] = bool(got)
-            return ok
-        for cand in _subsets(eff.get(v, masks[v]), b):
+        if kind[v] is None:
+            return v, key, eff.get(v, masks[v])
+        shape = tree.line(v)
+        got = _on_line(shape, [eff.get(u, masks[u]) for u in shape[1]], b, want_witness, bump)
+        if want_witness and got:
+            for u, m in zip(shape[1], got):
+                phimask[u] = m
+            return True
+        ok = memo[key] = bool(got)
+        return ok
+
+    def solve(v: int, key: tuple, own: int):
+        # a generator: yields settle's answer for a child that needs a search, is sent its verdict, returns v's
+        for cand in _subsets(own, b):
             bump()
             phimask[v] = cand
             for c in kids[v]:
-                if not (yield c):
+                ok = settle(c)
+                if not (ok if ok.__class__ is bool else (yield ok)):
                     break
             else:
                 if not want_witness:
@@ -485,18 +494,19 @@ def _solve_masks(tree: _EliminationTree, masks, b: int, bump, want_witness: bool
         return False
 
     def run(v: int) -> bool:
-        # runs solve on an explicit stack, so depth costs no Python frames
-        stack, verdict = [solve(v)], None
-        while stack:
+        # runs the generators on an explicit stack, so depth costs no Python frames
+        stack, verdict = [], settle(v)
+        while True:
+            if verdict.__class__ is not bool:  # a node to search
+                stack.append(solve(*verdict))
+                verdict = None
+            elif not stack:
+                return verdict
             try:
-                sub = stack[-1].send(verdict)
+                verdict = stack[-1].send(verdict)
             except StopIteration as done:
                 stack.pop()
                 verdict = done.value
-            else:
-                stack.append(solve(sub))
-                verdict = None
-        return verdict
 
     ok = all(run(r) for r in tree.roots)
     return ok, (phimask if ok and want_witness else None)

@@ -21,6 +21,7 @@ from sepchoose import (
     decide_choosable,
     decide_with_lists,
     enumerate_canonical,
+    gen_flower,
     identify_vertices,
     is_valid_coloring,
     realize,
@@ -586,6 +587,18 @@ def test_list_coloring_node_counts_frozen(L, b, witness, color_nodes, decide_nod
     assert out.nodes_explored == color_nodes
     dec = decide_with_lists(L, b)
     assert (dec.colorable, dec.nodes_explored) == (witness is not None, decide_nodes)
+
+
+@pytest.mark.parametrize("solve, nodes", [(decide_with_lists, 3180), (color_with_lists, 66465)])
+def test_flower_node_counts_frozen(solve, nodes):
+    # the flower whose petals the core mostly settles from its memo: a memo
+    # hit charges nothing, each kernel call and each candidate charges one
+    cert = gen_flower(3, 10, 4)
+    out = solve(cert.assignment, cert.b)
+    assert (out.colorable, out.nodes_explored) == (False, nodes)
+    with pytest.raises(BudgetExceeded) as ei:
+        solve(cert.assignment, cert.b, budget=nodes - 1)
+    assert ei.value.nodes_explored == nodes
 
 
 def test_decide_counterexample_reverifies():

@@ -17,6 +17,7 @@ import random
 import pytest
 
 from sepchoose import (
+    BudgetExceeded,
     Graph,
     ListAssignment,
     TraceMultiset,
@@ -30,6 +31,7 @@ from sepchoose import (
     realize,
 )
 from sepchoose.solver import _entries_to_multiset, _enumerate_entries, _pins
+from helpers import random_cactus, snake
 
 F = frozenset
 CAP = 4000
@@ -128,3 +130,43 @@ def test_path_cells_keep_their_spans_verdicts_witnesses_and_node_counts():
                                             dec.colorable, dec.nodes_explored)).encode())
                         count += 1
     assert (count, digest.hexdigest()[:16]) == PATH_CELLS
+
+
+# instances and digest of the search core on seeded unannotated graphs with
+# random lists, both modes at BUDGET nodes, cut-offs included (recorded while
+# each child of a search node still had a generator of its own)
+CORE_CELLS, BUDGET = (600, "e57655ded37f9a70"), 2000
+
+
+def _core_graph(rng, kind):
+    if kind == 0:
+        g = random_cactus(rng, rng.randint(6, 30))
+    elif kind == 1:
+        g = build_path(1)
+        for _ in range(rng.randint(1, 5)):
+            g = identify_vertices(g, rng.randrange(g.n), GRAPHS["K4-e"], rng.randrange(4))
+    else:
+        g = snake(rng, rng.randint(2, 5), rng.randint(4, 6))
+    # renumbered at random and stripped of annotations, so every instance
+    # goes through the elimination tree
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(n=g.n, edges=frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges))
+
+
+def test_search_core_keeps_its_verdicts_witnesses_and_node_counts():
+    rng, digest = random.Random("core"), hashlib.sha256()
+    for i in range(CORE_CELLS[0]):
+        g = _core_graph(rng, i % 3)
+        a = rng.randint(2, 4)
+        b = rng.randint(1, a - 1)
+        pool = range(rng.randint(a + 1, 3 * a))
+        L = ListAssignment(graph=g, lists=tuple(frozenset(rng.sample(pool, a)) for _ in range(g.n)), a=a)
+        for solve in (color_with_lists, decide_with_lists):
+            try:
+                out = solve(L, b, budget=BUDGET)
+                got = (out.colorable, out.witness and [sorted(s) for s in out.witness], out.nodes_explored)
+            except BudgetExceeded as e:
+                got = ("cut", e.nodes_explored)
+            digest.update(repr(got).encode())
+    assert (CORE_CELLS[0], digest.hexdigest()[:16]) == CORE_CELLS
