@@ -15,14 +15,13 @@ returns only the verdict; it trusts a kernel's "yes", memoizes successes
 and failures, counts a line's last step instead of listing its shadows, and
 runs a cycle as paths from position 1.
 Witness mode, behind color_with_lists, builds the lex-least coloring and
-memoizes failures only.  It colors a path node without backtracking:
-one DP sweep from each end gives, at every position, the minimal shadows
-that the rest of the path needs, and each vertex, smallest first, takes
-the first b-subset that misses one from each side (_path_witness).  When
-vertex numbers rise or fall along the path, that costs one sweep (n - 1
-shadow-DP steps) plus one candidate scan per vertex.  A cycle node fixes
-its smallest vertex per candidate and colors the path that is left
-(_cycle_witness).
+memoizes failures only.  It colors a path node without backtracking, each
+vertex, smallest first, taking the first b-subset that leaves the rest
+colorable (_path_witness).  When vertex numbers rise (fall) along the path,
+one DP sweep from the right (left) end, which is also the decision, and one
+scan from the other end do it; any other numbering walks their Cartesian
+tree.  A cycle node fixes its smallest vertex per candidate and colors the
+path that is left (_cycle_witness).
 Frozenset lists appear only at the public edges: _solve_lists reads an
 assignment's masks (lists._masks_of; an assignment from realize holds only
 those) and turns a witness's masks back into sets.  A node that the memo
@@ -133,9 +132,12 @@ def _budget(limit: int | None):
 
 
 def _subsets(mask: int, k: int):
-    """The k-subsets of mask, lazily, in combinations order of its bits."""
-    bits = [1 << i for i in range(mask.bit_length()) if (mask >> i) & 1]
-    return map(sum, itertools.combinations(bits, k))
+    """The k-subsets of mask, lazily, in combinations order of its set bits."""
+    bits = []
+    while mask:  # top first: the mask shrinks as its bits come off
+        bits.append(top := 1 << (mask.bit_length() - 1))
+        mask ^= top
+    return map(sum, itertools.combinations(bits[::-1], k))
 
 
 @lru_cache(maxsize=1 << 18)
@@ -210,38 +212,67 @@ def _cycle_colorable(masks, b: int) -> bool:
     return False
 
 
+def _pick(pool: int, b: int, needs) -> int:
+    """The first b-subset of pool missing some shadow of each antichain in
+    needs, or 0; pool lacks every color that all of an antichain's shadows hold."""
+    if b == 1:
+        return pool & -pool
+    for cand in _subsets(pool, b):
+        if all(0 in map(cand.__and__, shadows) for shadows in needs):
+            return cand
+    return 0
+
+
 def _path_witness(masks, ranks, b: int, bump):
     """Lex-least coloring of a path, or None when it has none.
 
-    Positions are colored in increasing rank, each with the first b-subset
-    in _subsets order that leaves the rest colorable: a candidate at p is
-    feasible iff it misses some minimal shadow forward from the left end of
-    p's uncolored interval and some minimal shadow backward from its right
-    end.  An end that is p itself sets no condition: its colored neighbour
-    outside the interval is already off p's list.  The antichains are
-    cached per position with the end they were swept from.  Interval ends
-    only move inward, so an entry whose end is still its interval's end is
-    still exact; coloring p moves only the left end of the interval to its
-    right and the right end of the interval to its left, so only those
-    sides are swept again, each resuming at the nearest cached entry.  When
-    ranks rise (or fall) along the path, every interval starts (ends) at the
-    position it colors, and the whole walk is one sweep of m - 1 _advance
-    calls plus one candidate scan per position; a numbering that keeps
-    jumping between the ends of an interval can still cost a sweep per
-    vertex.  The sweeps are exact, so only the root, whose interval is the
-    whole path, can find no candidate or a sweep that runs out of shadows:
-    then the path has no coloring, and the walk ends before it builds the
-    Cartesian tree.
+    Positions are colored in increasing rank, each with the first candidate
+    (_pick) that misses some minimal shadow forward from the left end of its
+    uncolored interval and some backward from the right end; an end that is
+    the position itself sets no condition.  Rising (falling) ranks end every
+    interval at the path's right (left) end: one sweep from it, one scan.
+    Otherwise the walk follows the Cartesian tree on ranks, caching antichains per
+    position with the end they were swept from.  Interval ends only move
+    inward, so an entry whose end is still its interval's end is exact, and
+    coloring p sweeps again only the sides whose end it moves, from the
+    nearest cached entry (jumping between an interval's ends can cost a
+    sweep per vertex).  Only the root can fail.
     """
+    rising = sorted(ranks) == [*ranks]
+    if rising or sorted(ranks, reverse=True) == [*ranks]:
+        line = masks if rising else masks[::-1]
+        bump()  # the root, at the near end
+        need = [(0,)]  # swept back from the far end, so pop() reads the near end first
+        for q in range(len(line) - 1, 0, -1):
+            need.append(_advance(need[-1], line[q], line[q - 1], b))
+            if not need[-1]:
+                return None
+        phi, prev = [], 0
+        for mask in line:
+            if phi:
+                bump()
+            shadows = need.pop()
+            prev = _pick(mask & ~(prev | reduce(and_, shadows)), b, (shadows,))
+            if not prev:
+                return None
+            phi.append(prev)
+        return phi if rising else phi[::-1]
     m = len(masks)
-    # phi[m] stays 0 and stands for the missing neighbour at either end
-    # (index -1 wraps to it)
+    # phi[m] stays 0 for the missing neighbour at either end (-1 wraps to it)
     phi = [0] * (m + 1)
     # per side: the antichain cached at each position, the end it was swept
     # from, and the sweep's step
     sides = (([()] * m, [-1] * m, 1), ([()] * m, [-1] * m, -1))
-    # the root is the smallest rank; the Cartesian tree waits for its color
-    todo, left = [(ranks.index(min(ranks)), 0, m - 1)], None
+    # Cartesian tree on ranks: a position's interval is colored after its
+    # ends, its ancestors; the root, the smallest rank, stays at stack[0]
+    left, right, stack = [-1] * m, [-1] * m, []
+    for i in range(m):
+        while stack and ranks[stack[-1]] > ranks[i]:
+            left[i] = stack.pop()
+        if stack:
+            right[stack[-1]] = i
+        stack.append(i)
+    todo = [(stack[0], 0, m - 1)]
     while todo:
         p, lo, hi = todo.pop()
         bump()
@@ -259,40 +290,15 @@ def _path_witness(masks, ranks, b: int, bump):
                 # q's only colored neighbour lies outside the interval, behind it
                 got = states[q + step] = _advance(states[q], masks[q] & ~phi[q - step], masks[q + step], b)
                 if not got:
-                    return None  # the interval, and so the path, has no coloring
+                    return None
                 ends[q + step] = end
                 q += step
             # a color that every shadow of this side holds cannot be chosen
             pool &= ~reduce(and_, states[p])
             need.append(states[p])
-        if b == 1:
-            # every color left misses some shadow of each side, so the scan
-            # below would take pool's lowest; most path instances have b = 1
-            phi[p] = pool & -pool
-        else:
-            # uncached: the walk mostly stops at the first candidate, and its
-            # masks are too varied to be worth keeping
-            for cand in _subsets(pool, b):
-                for shadows in need:
-                    if 0 not in map(cand.__and__, shadows):
-                        break  # cand meets every shadow of this side
-                else:
-                    phi[p] = cand
-                    break
+        phi[p] = _pick(pool, b, need)
         if not phi[p]:
             return None
-        if left is None:
-            # Cartesian tree on ranks: each position's interval is colored
-            # after its ends, which are its ancestors
-            left, right, stack = [-1] * m, [-1] * m, []
-            for i in range(m):
-                last = -1
-                while stack and ranks[stack[-1]] > ranks[i]:
-                    last = stack.pop()
-                left[i] = last
-                if stack:
-                    right[stack[-1]] = i
-                stack.append(i)
         if left[p] >= 0:
             todo.append((left[p], lo, p - 1))
         if right[p] >= 0:
@@ -444,10 +450,8 @@ def _solve_masks(tree: _EliminationTree, masks, b: int, bump, want_witness: bool
     failed candidate leaves nothing to clear, and the memo key is the node
     with its boundary's masks less those colors.  A kernel's "no" is final,
     and in decision mode so is its "yes": sibling nodes are never adjacent,
-    so nothing reads the colors it leaves unset.  A parent settles a child
-    that the memo or a kernel answers in its own loop; run's explicit stack
-    holds a generator per node that needs a search.  Callers check b >= 1
-    and send a graph annotated as one line to _on_line.
+    so nothing reads the colors it leaves unset.  Callers check b >= 1 and
+    send a graph annotated as one line to _on_line.
     """
     kids, kind = tree.kids, tree.kind
     phimask = [0] * len(masks)
@@ -513,11 +517,8 @@ def _solve_masks(tree: _EliminationTree, masks, b: int, bump, want_witness: bool
 
 
 def _solve_lists(L: ListAssignment, b: int, budget: int | None, want_witness: bool) -> SolveOutcome:
-    """An edge around the search core: the core runs on L's masks
-    (lists._masks_of), and a witness's masks come back as frozensets of
-    colors.  A graph annotated as one path or cycle (_line) has its masks
-    put in line order and goes straight to its kernel, without the
-    elimination tree, the memo or the search stack."""
+    """The public edge of the core (module docstring): L's masks in, a
+    witness's masks out as frozensets, a line straight to its kernel."""
     if b < 1:
         raise ValueError("b must be positive")
     universe, masks = _masks_of(L)
@@ -531,11 +532,10 @@ def _solve_lists(L: ListAssignment, b: int, budget: int | None, want_witness: bo
     if whole is None:
         ok, phimask = _solve_masks(_EliminationTree(L.graph), masks, b, bump, want_witness)
     else:
-        order = whole[1]
-        got = _on_line(whole, [masks[v] for v in order], b, want_witness, bump)
+        got = _on_line(whole, [masks[v] for v in whole[1]], b, want_witness, bump)
         ok = bool(got)
-        phimask = dict(zip(order, got)) if want_witness and got else None
-    witness = None if phimask is None else _masks_to_sets(universe, [phimask[v] for v in range(len(masks))])
+        phimask = [m for _, m in sorted(zip(whole[1], got))] if want_witness and got else None
+    witness = None if phimask is None else _masks_to_sets(universe, phimask)
     return SolveOutcome(colorable=ok, witness=witness, nodes_explored=count())
 
 

@@ -344,6 +344,19 @@ def test_path_witness_is_one_sweep(monkeypatch, n, falling, b):
     out = color_with_lists(ListAssignment(graph=g, lists=lists, a=2 * b), b)
     assert out.colorable
     assert len(calls) == n - 1
+    if n == 1:
+        return
+    # uncolorable: the end at vertex 0 forces the colors 0..b-1 there, each
+    # interior list of 2b colors then alternates, and the far end's b colors
+    # are its neighbour's; the sweep is the decision, so the walk stops after
+    # at most one sweep, charging one node for the line and one for the root
+    low, high = F(range(b)), F(range(b, 2 * b))
+    lists = (low, *[low | high] * (n - 2), low if n % 2 == 0 else high)
+    calls.clear()
+    out = color_with_lists(ListAssignment(graph=g, lists=lists, a=2 * b), b)
+    assert not out.colorable and out.witness is None
+    assert len(calls) <= n - 1
+    assert out.nodes_explored == 2
 
 
 def _brute_line_colorable(masks, b, cyclic):
@@ -397,6 +410,17 @@ def test_decision_kernels_count_the_last_step(monkeypatch, b):
         calls.clear()
         assert decide_with_lists(ListAssignment(graph=g, lists=lists, a=2 * b), b).colorable
         assert len(calls) == expected
+
+
+def test_subsets_read_set_bits_only():
+    # combinations order of the set bits, lowest first, however high they sit
+    rng = random.Random(20201020)
+    for _ in range(300):
+        bits = sorted(rng.sample(range(rng.choice([12, 100_000])), rng.randint(0, 6)))
+        mask = sum(1 << i for i in bits)
+        for k in range(len(bits) + 2):
+            expected = [sum(1 << i for i in c) for c in itertools.combinations(bits, k)]
+            assert list(solver._subsets(mask, k)) == expected
 
 
 def test_easy_long_path_witness():
