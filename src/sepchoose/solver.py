@@ -1,82 +1,59 @@
 """Exact decisions: (L,b)-colorability and (a,b,c)-choosability by search.
 
-One private search core, _solve_masks, works on color bitmasks.  It
-extends the smallest uncolored vertex and solves the components of the
-rest independently, so it meets the nodes of the graph's elimination tree,
-built once per graph (_EliminationTree).  Path and cycle nodes go to a
-shadow DP (after choosing phi at position i, later positions only see
-phi(i) & L(i+1), and only the inclusion-minimal shadows matter).  The memo
-is keyed by a node and its boundary's masks less its colored neighbours'
-colors.  A graph annotated as one path or cycle (read in one place, _line)
-has its lists turned into masks in line order and goes straight to its
-kernel before any search machinery is built; decide_choosable sends each of
-its instances to _on_line itself.  Decision mode, behind decide_with_lists,
-returns only the verdict; it trusts a kernel's "yes", memoizes successes
-and failures, counts a line's last step instead of listing its shadows, and
-runs a cycle as paths from position 1.
-Witness mode, behind color_with_lists, builds the lex-least coloring and
-memoizes failures only.  It colors a path node without backtracking, each
-vertex, smallest first, taking the first b-subset that leaves the rest
-colorable (_path_witness).  When vertex numbers rise (fall) along the path,
-one DP sweep from the right (left) end, which is also the decision, and one
-scan from the other end do it; any other numbering walks their Cartesian
-tree.  A cycle node fixes its smallest vertex per candidate and colors the
-path that is left (_cycle_witness).
-Frozenset lists appear only at the public edges: _solve_lists reads an
-assignment's masks (lists._masks_of; an assignment from realize holds only
-those) and turns a witness's masks back into sets.  A node that the memo
-or a line kernel settles is settled in its parent's loop; only a generic
-node that misses the memo gets a generator, on an explicit stack, so depth
-is bounded by memory, not by the recursion limit, which is never touched.
+One search core (_solve_masks) decides (L,b)-colorability on color
+bitmasks, shadow-DP kernels decide paths and cycles (_on_line), and
+frozenset lists appear only at the public edges (_solve_lists).
 
 Each public call keeps one node count (_budget), and every stage charges
-it: the automorphism search, the trace universe, the enumeration, the
-kernels and the core.  compute_sep sets a graph up once (_pins: its
-automorphisms, the roots, their stabilisers and lines, and its elimination
-tree) and each root's level plan on its first use, so one budget covers
-its whole scan over c.
+it: the automorphism search, the trace universe, the enumeration (not the
+instances it skips), the kernels and the core.  compute_sep sets a graph up
+once (_pins: its automorphisms, roots, elimination tree and walk plan) and
+each root's orbit hooks on their first use, so one budget covers its whole
+scan over c.
 
 Choosability enumerates list assignments up to color relabeling (trace
 multisets).  A color whose trace induces a disconnected subgraph can be
 split into one fresh color per component without changing colorability,
 list sizes, edge intersections, or amplitude sums, so decide_choosable
 scans connected traces only; enumerate_canonical keeps full generality
-(connected_only=False) since its contract is "every multiset".
+(connected_only=False) since its contract is "every multiset".  The
+enumeration walks a level plan: one level per trace, densest first, with
+the slots the trace draws on (its vertices' mass, its internal edges' room)
+and the level's hooks, the room and orbit checks below.  Only nonzero
+levels go on the stack, a mask of used-up (spent) slots makes a level that
+touches one cost one AND, and a step-down pops the deepest nonzero level;
+a hooked level forced to 0 still runs its check (the pairs it settles may
+have room, and its size class may have an earlier image).
 
-The enumeration walks a level plan built once per call: one level per
-trace, densest first, with the slots the trace draws on (its vertices'
-mass, its internal edges' room) and the level's hooks, the room and orbit
-checks below.  Only nonzero levels go on the stack, a mask of used-up
-slots makes a level that touches one cost one AND, and a step-down pops
-the deepest nonzero level.  A hooked level forced to 0 still runs its
-check: the pairs it settles may have room, and its size class may have an
-earlier image, whatever its own multiplicity.
-
-decide_choosable also skips every instance that an earlier one dominates.
-A pair trace {u,v} has room when u and v each keep a single (a private
-color) and, on an edge, the edge keeps slack below c.  Merging those two
-singles into one more color of trace {u,v} gives a valid instance that is
-harder (split the shared color back and any coloring of the merge colors
-the original) and is yielded earlier (same multiplicities before {u,v}'s
-level, a larger one there, and multiplicities are counted downward).  So
-the first failing instance is saturated: no pair trace has room, and only
-saturated instances are walked.  A pair's room is fixed at the last level
-whose trace touches u or v; there, a smaller multiplicity only leaves more
-room, so a level whose choice leaves room is dropped whole.  Merging a
-shared color with a single or another shared color would prune more, but
-breaks that monotonicity.
+decide_choosable also skips every instance that an earlier one dominates:
+a color class is a shared trace of multiplicity >= 1, or one vertex's
+private colors (its singles; the root's too), and classes S and T merge
+when they are disjoint, some edge joins them, and every S-T edge shares
+fewer than c colors.  Replacing one color of S and one of T by one color
+on S | T keeps every list's size and adds a shared color only on the S-T
+edges, which had room for it.  A coloring of the result maps back (split
+the merged color into S's and T's), so it fails if the instance does, and
+it comes earlier: S | T is denser than S and T, so its level comes first,
+and the result is equal before that level and larger there.  So the first
+failing instance has no mergeable pair, and verdicts and counterexamples
+do not change.  The check runs once per complete instance, at the yield,
+since a pair with a shared trace settles only in the last levels.  One
+early case stays in the descent: a pair trace {u,v} has room when u and v
+keep singles and, on an edge, the edge keeps slack; at the last level
+whose trace touches u or v a smaller multiplicity only leaves more room,
+so a level whose choice leaves room is dropped whole.
 
 It also walks only the first instance of each orbit under G's automorphisms
 (the root's stabiliser when pinned): orderly generation (Read 1978, McKay
-1998).  Automorphisms keep verdicts, connectivity and room, so the first
-failing instance comes first in its orbit (its images fail too, and none
-fails before it) and is kept.  The stream is lexicographically descending
-in the multiplicity vector, and an automorphism permutes traces within a
-size class, so once a class is set the prefix decides against its image: a
-larger image dooms every completion (a smaller multiplicity here may still
-win, so the level steps down by one), a smaller one retires the automorphism
-for this subtree, and a tie leaves it for later classes.
-"""
+1998).  Automorphisms keep verdicts, connectivity, room and mergeability,
+so the first failing instance comes first in its orbit (its images fail
+too, and none fails before it) and is kept.  The stream is
+lexicographically descending in the multiplicity vector, and an
+automorphism permutes traces within a size class, so once a class is set
+the prefix decides against its image: a larger image dooms every completion
+(a smaller multiplicity here may still win, so the level steps down by
+one), a smaller one retires the automorphism for this subtree, and a tie
+leaves it for later classes."""
 
 from __future__ import annotations
 
@@ -551,12 +528,11 @@ def decide_with_lists(L: ListAssignment, b: int, budget: int | None = None) -> S
     return _solve_lists(L, b, budget, False)
 
 
-def _trace_universe(g: Graph, connected_only: bool, bump):
+def _trace_universe(g: Graph, eidx: dict, connected_only: bool, bump):
     """Candidate shared traces (size >= 2), densest first, each with its
-    slots: its vertices, then n + e per edge e inside it; singletons are
+    slots: its vertices, then eidx[e] per edge e inside it; singletons are
     slack.  Connected traces grow from single vertices one neighbour at a
     time, so no disconnected set is built, and each costs one bump."""
-    eidx = {e: g.n + i for i, e in enumerate(sorted(g.edges))}
     if connected_only:
         subs, layer = [], [(v,) for v in range(g.n)]
     else:
@@ -607,54 +583,68 @@ def _automorphisms(g: Graph, bump) -> list[tuple[int, ...]]:
     return found
 
 
-def _level_plan(g: Graph, connected_only: bool, bump, saturated=False, group=()):
-    """Per level of one walk: its trace, slots, slot mask and hooks.  With
-    saturated, settled[i] holds the pair traces (u, v, edge slot or None)
-    that no later level touches, and top_only the pair levels that settle
-    themselves (below the largest multiplicity their pair has room).  With
-    group (vertex maps), ends[i] holds, at a level that ends a size class
-    some automorphism permutes, the class's first level, the previous such
-    end (or -1) and an itemgetter of the class's image per automorphism."""
-    traces = _trace_universe(g, connected_only, bump)
+def _walk_plan(g: Graph, connected_only: bool, bump, saturated: bool) -> tuple:
+    """What a _level_plan shares across roots: per level its trace, slots
+    (vertex v, then g.n + i for the i-th sorted edge) and slot mask; with
+    saturated, settled[i] (the pair traces (u, v, edge slot or None) that no
+    later level touches), top_only (the pair levels that settle themselves)
+    and merge (per trace, its outside neighbours' mask and an (edge slot
+    bit, outside vertex bit) per edge leaving it)."""
+    eidx = {e: g.n + i for i, e in enumerate(sorted(g.edges))}
+    traces = _trace_universe(g, eidx, connected_only, bump)
+    subs, masks = [t for t, _ in traces], [sum(1 << x for x in s) for _, s in traces]
     settled: list[tuple] = [()] * len(traces)
     top_only: set[int] = set()
+    merge = None
     if saturated:
-        last = {v: i for i, (sub, _) in enumerate(traces) for v in sub}
+        last = {v: i for i, sub in enumerate(subs) for v in sub}
         for i, (sub, slots) in enumerate(traces):
             if len(sub) == 2:
                 k = max(last[sub[0]], last[sub[1]])
                 settled[k] += ((*sub, slots[2] if len(slots) > 2 else None),)
                 if k == i:
                     top_only.add(i)
-    index = {sub: i for i, (sub, _) in enumerate(traces)} if group else {}
-    ident = list(range(len(traces)))
-    images = ([index[tuple(sorted(s[v] for v in sub))] for sub, _ in traces] for s in group)
+        inc = [[(1 << eidx[min(u, w), max(u, w)], 1 << w) for w in g.adj[u]] for u in range(g.n)]
+        cross = [[x for u in sub for x in inc[u] if not x[1] & m] for sub, m in zip(subs, masks)]
+        merge = [sum({w for _, w in out}) for out in cross], cross
+    return subs, [s for _, s in traces], masks, len(g.edges), settled, top_only, merge
+
+
+def _level_plan(g: Graph, connected_only: bool, bump, saturated=False, group=(), walk=None):
+    """walk (built here when None) and, per level, its hooks.  With group
+    (vertex maps), ends[i] holds, at a level that ends a size class some
+    automorphism permutes, the class's first level, the previous such end
+    (or -1) and an itemgetter of the class's image per automorphism."""
+    walk = walk or _walk_plan(g, connected_only, bump, saturated)
+    subs, settled = walk[0], walk[4]
+    index = {sub: i for i, sub in enumerate(subs)} if group else {}
+    ident = list(range(len(subs)))
+    images = ([index[tuple(sorted(s[v] for v in sub))] for sub in subs] for s in group)
     perms = [p for p in images if p != ident]
     ends, start = {}, 0
-    for i, (sub, _) in enumerate(traces if perms else ()):
-        if i + 1 == len(traces) or len(traces[i + 1][0]) != len(sub):
+    for i, sub in enumerate(subs if perms else ()):
+        if i + 1 == len(subs) or len(subs[i + 1]) != len(sub):
             if any(p[start:i + 1] != ident[start:i + 1] for p in perms):
                 ends[i] = (start, max(ends, default=-1), [itemgetter(*p[start:i + 1]) for p in perms])
             start = i + 1
     hook = [bool(x) or i in ends for i, x in enumerate(settled)]
-    return ([t for t, _ in traces], [s for _, s in traces], [sum(1 << x for x in s) for _, s in traces],
-            len(g.edges), settled, top_only, ends, hook, range(len(perms)))
+    return (*walk, ends, hook, range(len(perms)))
 
 
 def _enumerate_entries(plan, cap, c: int):
-    """Yield (shared, singles) for a _level_plan: shared = tuple of (trace,
-    mult), singles = leftover per-vertex counts.  Multiplicities are chosen
-    densest-trace-first and counted downward, so concentrated (adversarial)
-    instances stream early.  Yielded tuples are fresh objects, safe to hold.
-    A saturated plan drops a level whose choice leaves room on a pair it
-    settles, and its parent steps down; at a class end whose prefix has an
-    earlier image, a plan with a group steps down by one."""
-    subs, slots, masks, n_edges, settled, top_only, ends, hook, tied0 = plan
+    """Yield (shared, singles) for a _level_plan, densest trace first and
+    multiplicities counted downward, as fresh tuples: shared = (trace, mult)
+    pairs, singles = leftover per-vertex counts.  A saturated plan drops a
+    level whose choice leaves room on a pair it settles (its parent steps
+    down) and skips an instance with a mergeable pair; at a class end whose
+    prefix has an earlier image, a plan with a group steps down by one."""
+    subs, slots, masks, n_edges, settled, top_only, merge, ends, hook, tied0 = plan
+    near, cross = merge or ((), ())
     n, depth = len(cap), len(subs)
     rem = list(cap) + [c] * n_edges
     spent = sum(1 << x for x, k in enumerate(rem) if not k)
     mult = [0] * depth  # every level's multiplicity, 0 where unset
-    chosen, at = [], []  # (trace, multiplicity) and level of each nonzero level
+    at = []  # the nonzero levels, in order
     tied = {-1: tied0}  # tied[i]: the automorphisms whose image ties the prefix up to end i
 
     def room(i: int) -> bool:
@@ -662,6 +652,22 @@ def _enumerate_entries(plan, cap, c: int):
         for u, v, e in settled[i]:
             if rem[u] and rem[v] and (e is None or rem[e]):
                 return True
+        return False
+
+    def merges() -> bool:
+        # a nonzero level's trace merges with a single (an unspent vertex slot)
+        # or a later nonzero level's trace that it touches by no tight edge
+        for k, i in enumerate(at):
+            tight = 0
+            for e, w in cross[i]:
+                if e & spent:
+                    tight |= w
+            loose = near[i] & ~tight
+            if loose & ~spent:
+                return True
+            for j in at[k + 1:]:
+                if loose & masks[j] and not masks[j] & (masks[i] | tight):
+                    return True
         return False
 
     def beaten(i: int) -> bool:
@@ -689,12 +695,12 @@ def _enumerate_entries(plan, cap, c: int):
                         spent |= 1 << x
                     rem[x] -= m
                 mult[i] = m
-                chosen.append((subs[i], m))
                 at.append(i)
             if hook[i] and (room(i) or i in ends and beaten(i)):
                 break  # the step-down below drops this level or tries its next multiplicity
-        else:  # every level is set and none was dropped
-            yield tuple(chosen), tuple(rem[:n])
+        else:  # every level is set and none was dropped; with every edge tight, nothing merges
+            if not (merge and spent >> n != (1 << n_edges) - 1 and merges()):
+                yield tuple([(subs[i], mult[i]) for i in at]), tuple(rem[:n])
         while at:  # step down the deepest nonzero level
             i = at[-1]
             spent &= ~masks[i]
@@ -704,11 +710,8 @@ def _enumerate_entries(plan, cap, c: int):
             k = mult[i] if whole else 1
             for x in slots[i]:
                 rem[x] += k
-            m = mult[i] = mult[i] - k
-            if m:
-                chosen[-1] = (subs[i], m)
-            else:
-                chosen.pop()
+            mult[i] -= k
+            if not mult[i]:
                 at.pop()
             if not (whole or hook[i] and (room(i) or i in ends and beaten(i))):
                 i += 1
@@ -762,16 +765,16 @@ def _pins(g: Graph, free: bool, bump) -> tuple:
     path or cycle) and (root, plan, line) per pinned root: without free the
     one root None under all of g's automorphisms; with it the first root of
     each orbit in cycle_order, path_order, range(n) under its stabiliser.
-    plan() is the saturated, orbit-pruned _level_plan, built and charged on
-    its first call only, so a scan over c sets each root up once.  line is
-    _line(g, root)."""
+    plan() adds the root's orbit hooks to the saturated _walk_plan, built
+    and charged once here, on its first call.  line is _line(g, root)."""
     group = _automorphisms(g, bump)
     cands = (g.cycle_order or ()) + (g.path_order or ()) + tuple(range(g.n)) if free else (None,)
     # the first candidate of each orbit: no automorphism maps it to an earlier one
     roots = [r for i, r in enumerate(cands) if not free or all(p[r] not in cands[:i] for p in group)]
     tree = None if _line(g) else _EliminationTree(g)
-    return tree, [(r, cache(partial(_level_plan, g, True, bump, True, [p for p in group if r is None or p[r] == r])),
-                   _line(g, r)) for r in roots]
+    walk = _walk_plan(g, True, bump, True)
+    return tree, [(r, cache(partial(_level_plan, g, True, bump, True, [p for p in group if r is None or p[r] == r],
+                                    walk)), _line(g, r)) for r in roots]
 
 
 def _counterexample(g: Graph, a: int, b: int, c: int, setup, bump) -> ListAssignment | None:
@@ -805,13 +808,10 @@ def decide_choosable(
     """Is every c-separating assignment of a-lists (L,b)-colorable?
 
     free=True additionally quantifies over a precolored vertex (list size b
-    there), pinning one root per automorphism orbit: the first of each in
-    cycle_order, path_order, range(n).  Instances go to the cycle or path
-    kernel, or else to the search core in decision mode; realize runs only
-    for the returned counterexample.  Only saturated instances first in
-    their orbit under the root's stabiliser are walked (module docstring),
-    so nodes_explored counts them, core nodes, each root's universe and the
-    dead ends of the automorphism search.
+    there), one root per automorphism orbit (_pins).  Only merge-saturated
+    instances first in their orbit under the root's stabiliser are walked
+    (module docstring), so nodes_explored counts them, core nodes, the trace
+    universe and the dead ends of the automorphism search.
     """
     _check_ab(a, b, c)
     bump, count = _budget(budget)
@@ -829,7 +829,7 @@ def compute_sep(
     """Largest c in [0, a] such that g is (a,b,c)-choosable (free variant
     optional).  Scans c downward; choosability is monotone decreasing in c,
     so the first success is the answer.  One budget covers the whole scan,
-    and the automorphism search and the roots are set up once."""
+    and the graph is set up once (_pins)."""
     _check_ab(a, b)
     bump, _ = _budget(budget)
     pins = _pins(g, free, bump)

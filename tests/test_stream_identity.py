@@ -1,10 +1,13 @@
 """Stream identity on a seeded grid.
 
-The digests below were recorded from the dense level stack that the sparse
-level plan replaced: `enumerate_canonical` on paths, cycles and the oracle
-graphs, with and without a root and for both `connected_only` values, and
-the saturated, orbit-pruned walk behind `decide_choosable` and
-`compute_sep`, free and not.  Each stream is cut at CAP instances.  A sample
+The canonical digests below were recorded from the dense level stack that
+the sparse level plan replaced: `enumerate_canonical` on paths, cycles and
+the oracle graphs, with and without a root and for both `connected_only`
+values.  The walk digests are those of the saturated, orbit-pruned walk
+behind `decide_choosable` and `compute_sep`, free and not, recorded when it
+began to skip instances with a mergeable pair (two touching color classes
+that could share one color); before that they were the same walk's with
+those instances in.  Each stream is cut at CAP instances.  A sample
 of each stream is also rebuilt through the checked constructors, so the
 enumerator's unchecked `TraceMultiset` and `realize`'s unchecked
 `ListAssignment` are shown to be valid objects.
@@ -47,18 +50,18 @@ GRAPHS = {
 
 # per graph: instances and digest of the canonical streams, then of the saturated walks
 GOLDEN = {
-    "C3": (378, "3ffc2952f40db842", 37, "a77d4dcfc273f1f7"),
-    "C4": (6297, "697426d0c2722c5f", 201, "bd50d35345ee0d30"),
-    "C5": (9712, "037a61df90fd26b3", 231, "234ac45a889e5314"),
-    "C6": (32563, "652ec468ef2a4d57", 488, "3d7c6f7b4257195d"),
+    "C3": (378, "3ffc2952f40db842", 22, "ec1fb9e5879161dc"),
+    "C4": (6297, "697426d0c2722c5f", 47, "9632b9eb73946616"),
+    "C5": (9712, "037a61df90fd26b3", 39, "dc14c63299d62b64"),
+    "C6": (32563, "652ec468ef2a4d57", 96, "06f2a1dd1c3678fd"),
     "P2": (66, "2eaa1e478fc61551", 16, "39a882a1eb9e4570"),
-    "P3": (244, "6257a4ff4bea5fea", 58, "0651f11cdaf871a1"),
-    "P4": (1159, "83a14399ae9c7549", 88, "3dfeb2933127b42e"),
-    "P5": (12772, "539723dfe3594855", 241, "cfe0471be39f2a00"),
-    "P6": (21624, "a75266bd92d40151", 653, "33c2e056f0d4244c"),
-    "K4-e": (5108, "3a3dbc41a2b229ee", 376, "b8d5c61ae0176ab9"),
-    "C3.C3": (14808, "b0403bfec060e2bf", 520, "ad2977eef8c1a742"),
-    "C3.C4": (25597, "f59db4a848ac2aab", 2559, "16e10921bca8e90c"),
+    "P3": (244, "6257a4ff4bea5fea", 24, "8195e83ef3757e3c"),
+    "P4": (1159, "83a14399ae9c7549", 38, "6ea2252ac969aac3"),
+    "P5": (12772, "539723dfe3594855", 121, "acb7f20a0b2f7f94"),
+    "P6": (21624, "a75266bd92d40151", 86, "bce119ab1bc0885b"),
+    "K4-e": (5108, "3a3dbc41a2b229ee", 101, "249eb0f6f819d8d1"),
+    "C3.C3": (14808, "b0403bfec060e2bf", 44, "b5bad154e60b6997"),
+    "C3.C4": (25597, "f59db4a848ac2aab", 87, "9fc3d8128b94191b"),
 }
 
 
