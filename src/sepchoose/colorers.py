@@ -48,8 +48,15 @@ class ColoringPlan:
 
 
 class ColoringInputError(ValueError):
-    """The input misses a colorer's precondition (graph kind or annotation,
-    pin, list width), found before any color is picked."""
+    """The input misses a colorer's precondition (b >= 1, graph kind or
+    annotation, pin, list width), found before any color is picked."""
+
+
+def _graph_of(L: ListAssignment, b: int):
+    """L's graph, once b is known to be positive: every colorer's first check."""
+    if b < 1:
+        raise ColoringInputError("b must be positive")
+    return L.graph
 
 
 def _lex_least(pool: ColorSet, size: int) -> frozenset[int]:
@@ -61,9 +68,7 @@ def greedy_cycle(L: ListAssignment, b: int, plan: ColoringPlan | None = None) ->
     neighbor cannot see.  Only the two lists at hand are ever inspected, so
     the trace doubles as a locality audit.  Works exactly when every vertex
     has b colors outside its forward neighbor's list."""
-    if b < 1:
-        raise ColoringInputError("b must be positive")
-    g = L.graph
+    g = _graph_of(L, b)
     if g.cycle_order is None:
         raise ColoringInputError("greedy_cycle needs a cycle")
     order = g.cycle_order
@@ -101,7 +106,7 @@ def lift_cycle(
     both residual invariants are asserted at runtime.  base(L', b) colors the
     residue and defaults to the exact solver.
     """
-    g = L.graph
+    g = _graph_of(L, b)
     if g.cycle_order is None:
         raise ColoringInputError("lift_cycle needs a cycle")
     if L.precolored is not None:
@@ -181,8 +186,6 @@ def _complete_path(lists, ranks, b: int, failure: str | None = None) -> BColorin
     uncolorable path is explained by a vertex span whose color supply cannot
     cover its demand, which for paths always exists; the deficit sweep that
     finds it reads the walk's masks."""
-    if b < 1:
-        raise ValueError("b must be positive")
     universe, masks = _lists_to_masks(lists)
     chosen = _path_witness(masks, ranks, b, lambda: None)
     if chosen is not None:
@@ -209,7 +212,7 @@ def path_color_precolored(L: ListAssignment, b: int, plan: ColoringPlan | None =
     """Color a path whose end lists may be pinned down to b colors, vertices
     in increasing number.  On failure the error names a vertex span whose
     color supply cannot cover its demand."""
-    g = L.graph
+    g = _graph_of(L, b)
     if g.path_order is None:
         raise ColoringInputError("path_color_precolored needs a path")
     if L.precolored is not None:
@@ -224,7 +227,7 @@ def cycle_color_precolored(L: ListAssignment, b: int, plan: ColoringPlan | None 
     the cycle at the pin and completing the resulting doubly-pinned path,
     along the cycle order from the pin.  On a triangle the cut r-x-y-r' is
     exactly the pinned triangle."""
-    g = L.graph
+    g = _graph_of(L, b)
     if g.cycle_order is None:
         raise ColoringInputError("cycle_color_precolored needs a cycle")
     r = _pin(L, b)
@@ -264,7 +267,7 @@ def _walk_blocks(L: ListAssignment, b: int, plan: ColoringPlan | None, block_fac
     the entry, and every further face a path pinned at the least edge it
     shares with a face already colored.  A disconnected graph, or a non-cactus
     if cycles_only, is rejected before any color is picked."""
-    g = L.graph
+    g = _graph_of(L, b)
     try:
         blocks = block_decomposition(g)
     except ValueError as e:
@@ -366,7 +369,7 @@ def outerplanar_color(L: ListAssignment, b: int, plan: ColoringPlan | None = Non
     Within a 2-connected block the inner faces form a tree under shared
     edges; the face holding the entry vertex is completed as a pinned cycle
     and every further face as a path pinned at its shared edge."""
-    g = L.graph
+    g = _graph_of(L, b)
     if g.faces is None:
         raise ColoringInputError("outerplanar coloring needs the inner faces")
     faces = [tuple(f) for f in g.faces]

@@ -154,16 +154,16 @@ def _advance(states, mask_i: int, next_mask: int, b: int):
     return tuple(kept)
 
 
-def _path_colorable(masks, b: int, start: int = 0, states=(0,), closing: int = 0) -> bool:
-    """Whether positions start.. of a line color, given the minimal shadows
-    at start and colors closing barred from the last position.  The last
-    step is counted: a shadow s on the second-last position leaves avail =
-    masks[-2] & ~s, whose b colors must put at most |last| - b in last."""
-    last = masks[-1] & ~closing
+def _path_colorable(masks, b: int) -> bool:
+    """Whether a path colors, by its minimal shadows from position 0.  The
+    last step is counted: a shadow s on the second-last position leaves
+    avail = masks[-2] & ~s, whose b colors must put at most |last| - b in
+    last."""
+    last, states = masks[-1], (0,)
     room = last.bit_count() - b
     if room < 0 or len(masks) == 1:
         return room >= 0
-    for i in range(start, len(masks) - 2):
+    for i in range(len(masks) - 2):
         states = _advance(states, masks[i], masks[i + 1], b)
         if not states:
             return False
@@ -174,19 +174,20 @@ def _path_colorable(masks, b: int, start: int = 0, states=(0,), closing: int = 0
     return False
 
 
-def _cycle_colorable(masks, b: int) -> bool:
-    """Whether a cycle colors.  A b-subset m0 of position 0 reaches the rest
-    only through (m0 & masks[1], m0 & masks[-1]), so each distinct pair runs
-    the path DP once, from position 1 with the first as its shadow and the
-    second as the last position's closing colors."""
+def _cut(masks, b: int, walk):
+    """Cut a cycle at position 0: (m0, walk(path, b)) for the first b-subset
+    m0 of position 0, in lazy _subsets order, on whose path (the other
+    positions less m0) walk answers truthily, else None.  The path sees m0
+    only through (m0 & masks[1], m0 & masks[-1]), so each pair walks once."""
     seen = set()
-    for m0 in _ksubsets(masks[0], b):
+    for m0 in _subsets(masks[0], b):
         pair = (m0 & masks[1], m0 & masks[-1])
         if pair not in seen:
             seen.add(pair)
-            if _path_colorable(masks, b, 1, (pair[0],), pair[1]):
-                return True
-    return False
+            got = walk([masks[1] & ~m0, *masks[2:-1], masks[-1] & ~m0], b)
+            if got:
+                return m0, got
+    return None
 
 
 def _pick(pool: int, b: int, needs) -> int:
@@ -284,31 +285,10 @@ def _path_witness(masks, ranks, b: int, bump):
     return phi
 
 
-def _cycle_witness(masks, ranks, b: int, bump):
-    """Lex-least coloring of a cycle whose position 0 has the smallest rank,
-    or None: each candidate at position 0, in _subsets order, leaves a path
-    whose ends avoid it, and the first colorable one is kept."""
-    rest = masks[1:]
-    first, last = rest[0], rest[-1]
-    failed = set()
-    for cand in _subsets(masks[0], b):
-        bump()
-        # the rest sees the candidate only through its two ends
-        pair = (cand & first, cand & last)
-        if pair in failed:
-            continue
-        rest[0], rest[-1] = first & ~cand, last & ~cand
-        chosen = _path_witness(rest, ranks[1:], b, bump)
-        if chosen is not None:
-            return [cand] + chosen
-        failed.add(pair)
-    return None
-
-
 def _line(g: Graph, root: int | None = None):
     """(cyclic, order) of a graph annotated as a cycle or a path, else None.
     A cycle's order starts at root, or at vertex 0 without one, because
-    _cycle_witness needs the smallest rank at position 0."""
+    _cut colors position 0 first and a witness needs its smallest rank there."""
     if g.cycle_order is not None:
         k = g.cycle_order.index(0 if root is None else root)
         return True, g.cycle_order[k:] + g.cycle_order[:k]
@@ -321,12 +301,16 @@ def _on_line(shape, line, b: int, want_witness: bool, bump):
     """One node for a path or cycle, shape being its (cyclic, order) and
     line its masks in that order: the kernel's verdict in decision mode,
     else the witness walk's coloring in line order (vertex numbers are the
-    ranks), or None."""
+    ranks), or None.  A cycle is cut at position 0 (_cut) in both modes,
+    and in witness mode each cut path walked costs one node more."""
     bump()
     cyclic, order = shape
+    if not cyclic:
+        return _path_witness(line, order, b, bump) if want_witness else _path_colorable(line, b)
     if not want_witness:
-        return (_cycle_colorable if cyclic else _path_colorable)(line, b)
-    return (_cycle_witness if cyclic else _path_witness)(line, order, b, bump)
+        return _cut(line, b, _path_colorable) is not None
+    got = _cut(line, b, lambda path, b: bump() or _path_witness(path, order[1:], b, bump))
+    return got and [got[0], *got[1]]
 
 
 class _EliminationTree:

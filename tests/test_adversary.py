@@ -266,6 +266,12 @@ def test_out_of_regime_raises():
         gen_sep_small_ratio(4, 2, 2)
     with pytest.raises(ValueError, match="alpha"):
         gen_sep_odd_cycle(2, 2, 1)
+    with pytest.raises(ValueError, match="need p >= 1"):
+        gen_sep_odd_cycle(0, 2, 0)
+    with pytest.raises(ValueError, match="unknown endpoints mode 'both'"):
+        gen_path_family(4, 9, 4, "case1", endpoints="both")
+    with pytest.raises(ValueError, match="unknown variant 'case3'"):
+        gen_path_family(4, 9, 4, "case3")
     with pytest.raises(ValueError, match="needs a >= 2c"):
         gen_path_family(4, 1, 1, "case1")
     with pytest.raises(ValueError, match="middle regime"):
@@ -282,6 +288,8 @@ def test_out_of_regime_raises():
         gen_c3_family(5, 2, "case2_low")
     with pytest.raises(ValueError, match="no counterexample"):
         gen_flower(5, 3, 1)
+    with pytest.raises(ValueError, match="cycle copies need p >= 3"):
+        gen_flower(2, 3, 1)
     with pytest.raises(ValueError, match="unknown variant"):
         gen_c3_family(3, 2, "case3")
 

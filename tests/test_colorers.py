@@ -75,6 +75,18 @@ def test_greedy_cycle_rejects_non_positive_b(b):
         greedy_cycle(L, b)
 
 
+@pytest.mark.parametrize("colorer, args", [
+    (greedy_cycle, ()), (lift_cycle, (0,)), (lift_cycle, (1,)), (path_color_precolored, ()),
+    (cycle_color_precolored, ()), (cactus_free_color, ()), (outerplanar_color, ()),
+], ids=["greedy", "lift-k0", "lift-k1", "path", "cycle", "cactus", "outerplanar"])
+def test_colorers_check_b_first(colorer, args):
+    # a path without faces whose pin holds two colors misses every other
+    # colorer's precondition as well, so the b check must come first
+    L = ListAssignment(graph=build_path(3), lists=(F({1, 2}), F({1, 2}), F({2, 3})), a=2, precolored=0)
+    with pytest.raises(ColoringInputError, match="^b must be positive$"):
+        colorer(L, 0, *args)
+
+
 # --- lifting ----------------------------------------------------------------
 
 def test_lift_cycle_random_instances():

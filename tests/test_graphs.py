@@ -56,6 +56,18 @@ def test_build_flower_layout():
     assert is_cactus(g)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: build_path(0), "paths need n >= 1"),
+    (lambda: build_flower(2, 1), "petal cycles need p >= 3"),
+    (lambda: build_flower(3, 0), "need at least one petal"),
+    (lambda: identify_vertices(build_path(2), 2, build_path(2), 0), "identification vertex out of range"),
+], ids=["path-0", "flower-p2", "flower-k0", "identify-out-of-range"])
+def test_builders_reject_bad_sizes(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_is_cactus():
     assert is_cactus(build_cycle(6))
     assert is_cactus(build_path(5))
@@ -116,6 +128,14 @@ def test_json_round_trip_keeps_every_golden_graph():
     ({"edges": []}, "graph.n: missing"),
     ({"n": 4, "edges": [[0, 1]]}, "graph.n: expected at most 2 * len(edges) + 1, got 4"),
     ({"n": 2, "edges": [[0, 1]], "path_order": "01"}, "graph.path_order: expected a list, got '01'"),
+    ({"n": 3, "edges": [[0, 1], [1, 2]], "path_order": [0, 1, 1]},
+     "order annotation must be a permutation of the vertices"),
+    ({"n": 2, "edges": [[0, 1]], "cycle_order": [0, 1]}, "cycle order needs n >= 3"),
+    ({"n": 3, "edges": [[0, 1], [1, 2]], "path_order": [0, 2, 1]}, "order annotation inconsistent with edge set"),
+    ({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "faces": [[0, 1]]}, "bad face (0, 1)"),
+    ({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]], "faces": [[0, 1, 2]]}, "face (0, 1, 2) uses non-edge (0, 2)"),
+    ({"n": 5, "edges": [[0, 1], [0, 2], [1, 2], [0, 3], [1, 3], [0, 4], [1, 4]],
+      "faces": [[0, 1, 2], [0, 1, 3], [0, 1, 4]]}, "an edge lies on more than two faces"),
 ])
 def test_json_reader_names_the_bad_field(payload, message):
     with pytest.raises(ValueError) as err:

@@ -258,6 +258,28 @@ def test_trace_multiset_validation():
     assert sum(cnt for _, cnt in t.entries) == 3
 
 
+@pytest.mark.parametrize("entries, message", [
+    ((((0, 1), 1), ((0, 1), 2)), "duplicate trace (0, 1)"),
+    ((((2,), 1), ((0, 1), 2)), "entries must be sorted"),
+], ids=["duplicate", "unsorted"])
+def test_trace_multiset_rejects_duplicate_and_unsorted_entries(entries, message):
+    with pytest.raises(ValueError) as err:
+        TraceMultiset(entries=entries)
+    assert str(err.value) == message
+
+
+def test_list_assignment_rejects_negative_colors():
+    with pytest.raises(ValueError, match="colors must be non-negative ints"):
+        ListAssignment(graph=build_path(2), lists=(F({0, -1}), F({1, 2})), a=2)
+
+
+@pytest.mark.parametrize("i, j", [(0, 2), (2, 1), (1, 4)])
+def test_amplitude_sigma_rejects_an_out_of_range_span(i, j):
+    L = ListAssignment(graph=build_path(3), lists=(F({0, 1}), F({1, 2}), F({2, 3})), a=2)
+    with pytest.raises(ValueError, match="need 1 <= i <= j <= n"):
+        amplitude_sigma(L, i, j)
+
+
 def test_canonicalize_groups_equal_traces():
     g = build_path(2)
     L = ListAssignment(graph=g, lists=(F({1, 2, 3}), F({4, 5, 6})), a=3)

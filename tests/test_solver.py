@@ -391,14 +391,19 @@ def _brute_line_colorable(masks, b, cyclic):
     return any(memo(1, phi, phi) for phi in choices(masks[0]))
 
 
+def _cycle_colorable(masks, b):
+    # the decision kernel of a cycle: the path kernel on each cut at position 0
+    return solver._cut(masks, b, solver._path_colorable) is not None
+
+
 def test_line_kernels_match_brute_force():
     # the decision kernels count the last step; a last list shorter than b
     # must fail however many colors the step before it has to spare
     assert solver._path_colorable([0b1110, 0b1], 2) is False
     # on this C_3, position 0's one color is the last position's closing
     # color and leaves it none, though position 1 has a color to spare
-    assert solver._cycle_colorable([0b1, 0b110, 0b1], 1) is False
-    assert solver._cycle_colorable([0b1, 0b110, 0b11], 1) is True
+    assert _cycle_colorable([0b1, 0b110, 0b1], 1) is False
+    assert _cycle_colorable([0b1, 0b110, 0b11], 1) is True
     # a 1-position path colors iff its list holds b colors
     assert [solver._path_colorable([m], 2) for m in (0b1, 0b101, 0b111)] == [False, True, True]
     rng = random.Random(20201018)
@@ -409,7 +414,27 @@ def test_line_kernels_match_brute_force():
                  for _ in range(n)]
         assert solver._path_colorable(masks, b) == _brute_line_colorable(masks, b, False), (masks, b)
         if n >= 3:
-            assert solver._cycle_colorable(masks, b) == _brute_line_colorable(masks, b, True), (masks, b)
+            assert _cycle_colorable(masks, b) == _brute_line_colorable(masks, b, True), (masks, b)
+
+
+def test_cycle_candidates_are_drawn_lazily(monkeypatch):
+    # position 0 of this C_3 has C(16, 8) = 12,870 b-subsets; the first
+    # holds color 7 and leaves its neighbours, which share every color, 15
+    # each for 16, and the second fits, so the decision draws just those two
+    drawn = []
+    subsets = solver._subsets
+
+    def counted(mask, k):
+        for s in subsets(mask, k):
+            drawn.append(s)
+            yield s
+
+    monkeypatch.setattr(solver, "_subsets", counted)
+    solver._ksubsets.cache_clear()  # a cached listing would draw nothing
+    rest = F({7, *range(900, 915)})
+    L = ListAssignment(graph=build_cycle(3), lists=(F(range(16)), rest, rest), a=16)
+    assert decide_with_lists(L, 8).colorable
+    assert len(drawn) == 2
 
 
 @pytest.mark.parametrize("b", [1, 2])
@@ -449,6 +474,19 @@ def test_easy_long_path_witness():
         prev = F({min(lst - prev)})
         greedy.append(prev)
     assert out.witness == tuple(greedy)
+
+
+@pytest.mark.parametrize("solve", [color_with_lists, decide_with_lists])
+def test_list_coloring_rejects_non_positive_b(solve):
+    L = ListAssignment(graph=build_cycle(3), lists=(F({1, 2}), F({2, 3}), F({3, 4})), a=2)
+    with pytest.raises(ValueError, match="b must be positive"):
+        solve(L, 0)
+
+
+def test_enumeration_rejects_an_out_of_range_pin():
+    g = build_cycle(3)
+    with pytest.raises(ValueError, match="precolored vertex out of range"):
+        next(enumerate_canonical(g, 2, 1, 1, precolored=g.n))
 
 
 def test_free_requires_pinned_vertex():

@@ -136,9 +136,9 @@ def test_path_cells_keep_their_spans_verdicts_witnesses_and_node_counts():
 
 
 # instances and digest of the search core on seeded unannotated graphs with
-# random lists, both modes at BUDGET nodes, cut-offs included (recorded while
-# each child of a search node still had a generator of its own)
-CORE_CELLS, BUDGET = (600, "e57655ded37f9a70"), 2000
+# random lists, both modes at BUDGET nodes, cut-offs included (recorded once
+# witness mode charged no node for a cycle candidate whose end pair had failed)
+CORE_CELLS, BUDGET = (600, "a888e7e3670690bc"), 2000
 
 
 def _core_graph(rng, kind):
