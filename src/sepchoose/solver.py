@@ -209,12 +209,15 @@ def _path_witness(masks, ranks, b: int, bump):
     uncolored interval and some backward from the right end; an end that is
     the position itself sets no condition.  Rising (falling) ranks end every
     interval at the path's right (left) end: one sweep from it, one scan.
-    Otherwise the walk follows the Cartesian tree on ranks, caching antichains per
-    position with the end they were swept from.  Interval ends only move
-    inward, so an entry whose end is still its interval's end is exact, and
-    coloring p sweeps again only the sides whose end it moves, from the
-    nearest cached entry (jumping between an interval's ends can cost a
-    sweep per vertex).  Only the root can fail.
+    Otherwise each side keeps every position's antichain from its interval's
+    end, swept once over the whole path.  Coloring p makes p + 1 (p - 1) an
+    end: that side's sweep starts again there and stops at a colored
+    position, the path's end, or the first later position whose antichain
+    is unchanged, since every later step is the same (only the start's step
+    excludes colors, p's).  p's colors miss some stored shadow, so every
+    coloring of the new interval extends to one of the old: a rewrite only
+    loses achievable shadows, and a position's list bounds how often that
+    happens.  Only the root can fail.
     """
     rising = sorted(ranks) == [*ranks]
     if rising or sorted(ranks, reverse=True) == [*ranks]:
@@ -238,49 +241,36 @@ def _path_witness(masks, ranks, b: int, bump):
     m = len(masks)
     # phi[m] stays 0 for the missing neighbour at either end (-1 wraps to it)
     phi = [0] * (m + 1)
-    # per side: the antichain cached at each position, the end it was swept
-    # from, and the sweep's step
-    sides = (([()] * m, [-1] * m, 1), ([()] * m, [-1] * m, -1))
-    # Cartesian tree on ranks: a position's interval is colored after its
-    # ends, its ancestors; the root, the smallest rank, stays at stack[0]
-    left, right, stack = [-1] * m, [-1] * m, []
-    for i in range(m):
-        while stack and ranks[stack[-1]] > ranks[i]:
-            left[i] = stack.pop()
-        if stack:
-            right[stack[-1]] = i
-        stack.append(i)
-    todo = [(stack[0], 0, m - 1)]
-    while todo:
-        p, lo, hi = todo.pop()
-        bump()
-        pool = masks[p] & ~(phi[p - 1] | phi[p + 1])
-        need = []
-        for (states, ends, step), end in zip(sides, (lo, hi)):
-            if end == p:
-                continue
-            q = p
-            while q != end and ends[q] != end:
-                q -= step
-            if ends[q] != end:
-                states[q], ends[q] = (0,), end
-            while q != p:
-                # q's only colored neighbour lies outside the interval, behind it
-                got = states[q + step] = _advance(states[q], masks[q] & ~phi[q - step], masks[q + step], b)
-                if not got:
-                    return None
-                ends[q + step] = end
+    fwd, bwd = [None] * m, [None] * m  # per position, its antichain from its interval's left (right) end
+
+    def sweep(q, step, states):
+        # (0,) at q, an interval's end, then on to the next colored position
+        # or the path's end, stopping where the antichain does not change
+        if 0 <= q < m and not phi[q]:
+            states[q] = (0,)
+            while 0 <= q + step < m and not phi[q + step]:
+                # q's only colored neighbour lies behind it
+                got = _advance(states[q], masks[q] & ~phi[q - step], masks[q + step], b)
+                if got == states[q + step]:
+                    return
+                states[q + step] = got
                 q += step
-            # a color that every shadow of this side holds cannot be chosen
-            pool &= ~reduce(and_, states[p])
-            need.append(states[p])
-        phi[p] = _pick(pool, b, need)
+
+    bump()  # the root
+    sweep(0, 1, fwd)
+    sweep(m - 1, -1, bwd)
+    if not (fwd[-1] and bwd[0]):  # an empty antichain stays empty to the end
+        return None
+    for k, p in enumerate(sorted(range(m), key=ranks.__getitem__)):
+        if k:
+            bump()
+        # a color that every shadow of a side holds cannot be chosen
+        pool = masks[p] & ~(phi[p - 1] | phi[p + 1] | reduce(and_, fwd[p]) | reduce(and_, bwd[p]))
+        phi[p] = _pick(pool, b, (fwd[p], bwd[p]))
         if not phi[p]:
             return None
-        if left[p] >= 0:
-            todo.append((left[p], lo, p - 1))
-        if right[p] >= 0:
-            todo.append((right[p], p + 1, hi))
+        sweep(p + 1, 1, fwd)
+        sweep(p - 1, -1, bwd)
     del phi[m]
     return phi
 

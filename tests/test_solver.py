@@ -373,6 +373,30 @@ def test_path_witness_is_one_sweep(monkeypatch, n, falling, b):
     assert out.nodes_explored == 2
 
 
+@pytest.mark.parametrize("n", [40, 400])
+@pytest.mark.parametrize("b", [1, 2, 3])
+@pytest.mark.parametrize("shifted", [True, False], ids=["shifted", "random"])
+def test_path_numbered_alternately_from_its_ends(monkeypatch, n, b, shifted):
+    # vertex numbers jump between the path's two ends, so each coloring moves
+    # the end of one long uncolored interval; sweeps that stop where the
+    # antichain no longer changes keep the walk linear, while sweeping each
+    # interval again from its end would take n(n - 1)/2 _advance calls
+    pos = [v // 2 if v % 2 == 0 else n - 1 - v // 2 for v in range(n)]
+    order = sorted(range(n), key=pos.__getitem__)
+    g = Graph(n=n, edges=F((min(u, v), max(u, v)) for u, v in zip(order, order[1:])), path_order=tuple(order))
+    rng = random.Random(20261022 + n + b)
+    by_position = [F((i * b + k) % (3 * b) for k in range(2 * b)) if shifted else F(rng.sample(range(2 * b + 2), 2 * b))
+                   for i in range(n)]
+    L = ListAssignment(graph=g, lists=tuple(by_position[pos[v]] for v in range(n)), a=2 * b)
+    calls = []
+    advance = solver._advance
+    monkeypatch.setattr(solver, "_advance", lambda *args: calls.append(args) or advance(*args))
+    out = color_with_lists(L, b)
+    assert out.colorable and is_valid_coloring(L, out.witness, b)
+    assert out.nodes_explored == n + 1
+    assert len(calls) <= 8 * n
+
+
 def _brute_line_colorable(masks, b, cyclic):
     """Every b-subset choice along the line, position by position; a choice
     depends only on its left neighbour's (and, closing a cycle, on
